@@ -21,6 +21,7 @@ from .mfdfa import (
     overall_fluctuation,
     partition_segments,
     singularity_spectrum,
+    spectrum_from_surface,
 )
 from .mftest import (
     EnsembleStats,

@@ -10,6 +10,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .mfdfa import (
     default_scale_grid,
     fluctuation_surface,
     make_profile,
+    spectrum_from_surface,
 )
 from .mftest import ensemble_statistics, format_report, verdict
 from .surrogate import derive_seed, iaaft, IaaftConfig
@@ -62,6 +64,8 @@ class RunConfig:
     def __post_init__(self):
         if self.surrogates < 2:
             raise ValueError("surrogate ensemble size must be >= 2")
+        if not self.q_step > 0:
+            raise ValueError("q step must be positive")
         if not self.detrend_orders:
             raise ValueError("at least one detrend order required")
         if any(order not in (1, 2) for order in self.detrend_orders):
@@ -116,25 +120,51 @@ def load_returns(cfg):
     return log_returns(prices).values, prices.label
 
 
-def _spectrum_for_member(args):
-    values, acfg, seed, max_iter, tol = args
-    surrogate = iaaft(values, IaaftConfig(max_iter, tol, seed))
-    return analyze_returns(surrogate.values, acfg)
+def _member_spectra(values, acfgs, iaaft_limits, seed):
+    """One IAAFT surrogate, analysed under every per-order config."""
+    surrogate = iaaft(values, IaaftConfig(*iaaft_limits, seed))
+    return [analyze_returns(surrogate.values, acfg) for acfg in acfgs]
 
 
-def surrogate_spectra(values, size, base_seed, acfg, workers=1,
-                      max_iterations=1000, spectrum_tolerance=1e-8):
-    """MF-DFA spectra of a deterministic surrogate ensemble.
+_worker_member = None
+
+
+def _init_worker(values, acfgs, iaaft_limits):
+    # runs once per pool process, so the series is not pickled into every job
+    global _worker_member
+    _worker_member = partial(_member_spectra, values, acfgs, iaaft_limits)
+
+
+def _worker_spectra(seed):
+    return _worker_member(seed)
+
+
+def ensemble_spectra(values, size, base_seed, acfgs, workers=1,
+                     max_iterations=1000, spectrum_tolerance=1e-8):
+    """MF-DFA spectra of a deterministic surrogate ensemble, one list per
+    config in acfgs: each member is generated once and analysed under
+    every config.
 
     Per-member seeds derive from (base_seed, index), so the result is
     independent of worker count and member evaluation order.
     """
-    jobs = [(values, acfg, derive_seed(base_seed, i), max_iterations,
-             spectrum_tolerance) for i in range(size)]
+    acfgs = tuple(acfgs)
+    seeds = [derive_seed(base_seed, i) for i in range(size)]
+    shared = (values, acfgs, (max_iterations, spectrum_tolerance))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_spectrum_for_member, jobs, chunksize=8))
-    return [_spectrum_for_member(job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=shared) as pool:
+            members = list(pool.map(_worker_spectra, seeds, chunksize=8))
+    else:
+        members = [_member_spectra(*shared, seed) for seed in seeds]
+    return [[member[k] for member in members] for k in range(len(acfgs))]
+
+
+def surrogate_spectra(values, size, base_seed, acfg, workers=1,
+                      max_iterations=1000, spectrum_tolerance=1e-8):
+    """MF-DFA spectra of a deterministic surrogate ensemble for one config."""
+    return ensemble_spectra(values, size, base_seed, (acfg,), workers,
+                            max_iterations, spectrum_tolerance)[0]
 
 
 def _write_table(path, header, columns, fmt="%.17g"):
@@ -176,20 +206,23 @@ def run_pipeline(cfg):
         values, label = load_returns(cfg)
         timings["load"] = time.perf_counter() - t0
 
-        for order in cfg.detrend_orders:
-            acfg = cfg.analysis_config(order)
+        acfgs = [cfg.analysis_config(order) for order in cfg.detrend_orders]
+        profile = make_profile(values)
+        observed = []
+        for acfg in acfgs:
+            t0 = time.perf_counter()
+            surface = fluctuation_surface(profile, acfg)
+            observed.append((surface, spectrum_from_surface(surface)))
+            timings[f"mfdfa_l{acfg.detrend_order}"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        ensembles = ensemble_spectra(values, cfg.surrogates, cfg.seed, acfgs,
+                                     workers=cfg.workers)
+        timings["ensemble"] = time.perf_counter() - t0
+
+        for order, (surface, spectrum), spectra in zip(cfg.detrend_orders, observed,
+                                                       ensembles):
             tag = f"l{order}"
-
-            t0 = time.perf_counter()
-            surface = fluctuation_surface(make_profile(values), acfg)
-            spectrum = analyze_returns(values, acfg)
-            timings[f"mfdfa_{tag}"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            spectra = surrogate_spectra(values, cfg.surrogates, cfg.seed, acfg,
-                                        workers=cfg.workers)
-            timings[f"ensemble_{tag}"] = time.perf_counter() - t0
-
             stats = ensemble_statistics(spectra)
             report = verdict(label, order, spectrum, stats,
                              significance_level=cfg.alpha_level)
@@ -271,10 +304,12 @@ def format_comparison(comparison):
 
 
 def _env_default(flag, fallback, cast=str):
-    raw = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    return cast(raw)
+    name = ENV_PREFIX + flag.upper().replace("-", "_")
+    raw = os.environ.get(name)
+    try:
+        return fallback if raw is None else cast(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _add_grid_flags(parser):
@@ -349,20 +384,20 @@ def build_parser():
 
 
 def _run_config_from_args(args):
-    orders = tuple(sorted(set(args.detrend_order or [1])))
+    # spectrum has no ensemble flags; RunConfig's defaults stand in for them
+    ensemble_flags = {key: getattr(args, key)
+                      for key in ("surrogates", "seed", "alpha_level", "workers")
+                      if hasattr(args, key)}
     return RunConfig(
         input_path=args.input,
         synth_spec=args.synth,
         date_col=args.date_col,
         value_col=args.value_col,
-        detrend_orders=orders,
+        detrend_orders=tuple(sorted(set(args.detrend_order or [1]))),
         q_min=args.q_min, q_max=args.q_max, q_step=args.q_step,
         s_min=args.s_min, s_max=args.s_max, s_count=args.s_count,
-        surrogates=getattr(args, "surrogates", 2),
-        seed=getattr(args, "seed", 0),
-        alpha_level=getattr(args, "alpha_level", 0.05),
         out_dir=args.out,
-        workers=getattr(args, "workers", 1),
+        **ensemble_flags,
     )
 
 
@@ -376,22 +411,14 @@ def _cmd_analyze(args):
 
 
 def _cmd_spectrum(args):
-    out = Path(args.out)
+    cfg = _run_config_from_args(args)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    orders = tuple(sorted(set(args.detrend_order or [1])))
-    cfg = RunConfig(
-        input_path=args.input, synth_spec=args.synth,
-        date_col=args.date_col, value_col=args.value_col,
-        detrend_orders=orders,
-        q_min=args.q_min, q_max=args.q_max, q_step=args.q_step,
-        s_min=args.s_min, s_max=args.s_max, s_count=args.s_count,
-        surrogates=2, out_dir=args.out,
-    )
     values, label = load_returns(cfg)
-    for order in orders:
-        acfg = cfg.analysis_config(order)
-        surface = fluctuation_surface(make_profile(values), acfg)
-        spectrum = analyze_returns(values, acfg)
+    profile = make_profile(values)
+    for order in cfg.detrend_orders:
+        surface = fluctuation_surface(profile, cfg.analysis_config(order))
+        spectrum = spectrum_from_surface(surface)
         export_surface(surface, out / f"surface_l{order}.tsv")
         export_spectrum(spectrum, out / f"spectrum_l{order}.tsv")
         print(f"{label} l={order}: H(2)={spectrum.H[np.argmin(np.abs(spectrum.q_grid - 2)) ]:.4f} "
@@ -400,13 +427,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_synth(args):
-    if args.kind == "cascade":
-        values = binomial_cascade(CascadeSpec(args.levels, args.p))
-    elif args.kind == "fbm":
-        path = fbm(FbmSpec(args.n, args.hurst, args.seed))
-        values = np.diff(np.concatenate([[0.0], path]))
-    else:
-        values = gaussian_white_noise(args.n, args.seed)
+    values, _ = synth_series(f"{args.kind}:levels={args.levels},p={args.p},n={args.n},"
+                             f"hurst={args.hurst},seed={args.seed}")
     # synthesized calendar so the file round-trips through the CSV loader;
     # prices are exp of the cumulative series, so log-returns recover it
     start = date(2000, 1, 1)
@@ -440,12 +462,6 @@ def _cmd_compare(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, 0 on --help
-        return exc.code if exc.code is not None else EXIT_CONFIG
     handlers = {
         "analyze": _cmd_analyze,
         "spectrum": _cmd_spectrum,
@@ -453,6 +469,13 @@ def main(argv=None):
         "compare": _cmd_compare,
     }
     try:
+        # building the parser casts the MULTIFRACT_* environment defaults
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad flags, 0 on --help
+            return exc.code if exc.code is not None else EXIT_CONFIG
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

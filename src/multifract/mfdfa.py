@@ -161,7 +161,9 @@ def overall_fluctuation(local_flucts, q, floor=0.0):
     if len(fv) == 0:
         raise AllBoxesDegenerate()
     log_fv = np.log(fv)
-    if q == 0:
+    # the same zero test as fluctuation_surface: dividing by a subnormal q
+    # below would lose every digit of the result
+    if np.isclose(q, 0.0):
         return float(np.exp(np.mean(log_fv)))
     # log-domain power mean: peak-shifted with expm1/log1p so the result
     # degrades gracefully into the geometric mean as q -> 0
@@ -265,15 +267,19 @@ def singularity_spectrum(q_grid, tau):
     return alpha, f, delta_alpha, delta_f
 
 
+def spectrum_from_surface(surface):
+    """H(q), tau, alpha and f of an already computed fluctuation surface."""
+    H, stderr, r2 = hurst_spectrum(surface)
+    tau = mass_exponents(surface.q_grid, H)
+    alpha, f, d_alpha, d_f = singularity_spectrum(surface.q_grid, tau)
+    return MultifractalSpectrum(
+        surface.q_grid, H, stderr, r2, tau, alpha, f, d_alpha, d_f
+    )
+
+
 def analyze_profile(profile, cfg):
     """Full MF-DFA of one profile: surface, H(q), tau, alpha, f."""
-    surface = fluctuation_surface(profile, cfg)
-    H, stderr, r2 = hurst_spectrum(surface)
-    tau = mass_exponents(cfg.q_grid, H)
-    alpha, f, d_alpha, d_f = singularity_spectrum(cfg.q_grid, tau)
-    return MultifractalSpectrum(
-        cfg.q_grid, H, stderr, r2, tau, alpha, f, d_alpha, d_f
-    )
+    return spectrum_from_surface(fluctuation_surface(profile, cfg))
 
 
 def analyze_returns(returns, cfg):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from multifract import cli
 from multifract.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -52,6 +53,11 @@ class TestRunConfig:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             RunConfig(synth_spec="noise", detrend_orders=(3,))
+
+    @pytest.mark.parametrize("step", [0.0, -0.25, float("nan")])
+    def test_rejects_non_positive_q_step(self, step):
+        with pytest.raises(ValueError):
+            RunConfig(synth_spec="noise", q_step=step)
 
     def test_analysis_config_grids(self):
         cfg = RunConfig(synth_spec="noise", q_step=0.5, s_min=10, s_max=100)
@@ -188,6 +194,20 @@ class TestExitCodes:
                      "--out", str(out)])
         assert code == EXIT_OK
 
+    def test_bad_env_default_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MULTIFRACT_SURROGATES", "abc")
+        code = main(["analyze", "--synth", "noise:n=2048", "--out", str(tmp_path / "r")])
+        assert code == EXIT_CONFIG
+        assert "config error: MULTIFRACT_SURROGATES='abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("step", ["0", "-0.5"])
+    def test_non_positive_q_step_rejected_before_output(self, tmp_path, command, step):
+        out = tmp_path / "r"
+        assert main([command, "--synth", "noise:n=2048", "--q-step", step,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         # argparse's SystemExit is translated into a return code
         assert main(["--version"]) == EXIT_OK
@@ -203,3 +223,47 @@ class TestRunPipelineApi:
         assert set(reports) == {1, 2}
         assert reports[1].detrend_order == 1
         assert reports[2].detrend_order == 2
+
+
+ENSEMBLE_ARTIFACTS = [
+    "surface_l1.tsv", "spectrum_l1.tsv", "ensemble_stats_l1.tsv",
+    "delta_alpha_samples_l1.tsv", "delta_f_samples_l1.tsv",
+    "report_l1.json", "report_l1.txt",
+]
+
+
+def _pipeline(tmp_path, name, orders, workers=1):
+    cfg = RunConfig(synth_spec="noise:n=2048,seed=8", surrogates=6, seed=11,
+                    s_min=10, s_max=256, s_count=10, detrend_orders=orders,
+                    workers=workers, out_dir=str(tmp_path / name))
+    run_pipeline(cfg)
+    return tmp_path / name
+
+
+class TestSharedEnsemble:
+    def test_one_iaaft_per_member_across_orders(self, tmp_path, monkeypatch):
+        seeds = []
+        original = cli.iaaft
+
+        def counting(values, cfg):
+            seeds.append(cfg.rng_seed)
+            return original(values, cfg)
+
+        monkeypatch.setattr(cli, "iaaft", counting)
+        out = _pipeline(tmp_path, "r", (1, 2))
+        assert len(seeds) == 6 and len(set(seeds)) == 6
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == {"load", "mfdfa_l1", "mfdfa_l2", "ensemble"}
+
+    def test_order_artifacts_independent_of_other_orders(self, tmp_path):
+        both = _pipeline(tmp_path, "both", (1, 2))
+        alone = _pipeline(tmp_path, "alone", (1,))
+        for name in ENSEMBLE_ARTIFACTS:
+            assert (both / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_pool_matches_serial(self, tmp_path):
+        serial = _pipeline(tmp_path, "serial", (1, 2))
+        pooled = _pipeline(tmp_path, "pooled", (1, 2), workers=2)
+        names = ENSEMBLE_ARTIFACTS + [n.replace("_l1", "_l2") for n in ENSEMBLE_ARTIFACTS]
+        for name in names:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name

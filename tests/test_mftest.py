@@ -145,6 +145,32 @@ class TestQuadraticTauFit:
             assert fit.model_p_value == pytest.approx(model_p, abs=1e-10)
             assert fit.r_squared == pytest.approx(r2, abs=1e-10)
 
+    def test_p_values_equal_scipy_stats_exactly(self):
+        # the fit uses scipy.special's t and F tails; they must be
+        # bit-identical to scipy.stats', zero t-statistics included
+        rng = np.random.default_rng(7)
+        q = np.arange(-2.0, 3.0)
+        fits = [quadratic_tau_fit(q, q * q)]  # linear coefficient exactly 0
+        for _ in range(50):
+            grid = np.sort(rng.uniform(-6, 6, rng.integers(5, 60)))
+            fits.append(quadratic_tau_fit(grid, rng.normal(0, 1, len(grid))))
+        assert any(np.any(fit.t_stats == 0.0) for fit in fits)
+        for fit in fits:
+            expected = 2.0 * sps.t.sf(np.abs(fit.t_stats), fit.df_resid)
+            assert np.array_equal(fit.p_values, expected)
+            assert fit.model_p_value == sps.f.sf(fit.f_stat, 2, fit.df_resid)
+
+    def test_tail_functions_at_limits(self):
+        from scipy import special
+        t = np.array([0.0, 1.5, -3.0, np.inf, -np.inf])
+        for df in (1, 5, 38):
+            assert np.array_equal(2.0 * special.stdtr(df, -np.abs(t)),
+                                  2.0 * sps.t.sf(np.abs(t), df))
+            for f_stat in (0.0, 2.5, 1e30, np.inf):
+                assert special.fdtrc(2, df, f_stat) == sps.f.sf(f_stat, 2, df)
+            # below the support scipy.stats gives 1; the fit clamps F at 0 to match
+            assert special.fdtrc(2, df, 0.0) == sps.f.sf(-1e-12, 2, df) == 1.0
+
     def test_too_few_points(self):
         with pytest.raises(RankDeficient):
             quadratic_tau_fit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
