@@ -64,6 +64,10 @@ class RunConfig:
     def __post_init__(self):
         if self.surrogates < 2:
             raise ValueError("surrogate ensemble size must be >= 2")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if not 0 < self.alpha_level < 1:
+            raise ValueError("alpha level must lie strictly between 0 and 1")
         if not self.q_step > 0:
             raise ValueError("q step must be positive")
         if not self.detrend_orders:
@@ -120,27 +124,26 @@ def load_returns(cfg):
     return log_returns(prices).values, prices.label
 
 
-def _member_spectra(values, acfgs, iaaft_limits, seed):
+def _member_spectra(values, acfgs, seed):
     """One IAAFT surrogate, analysed under every per-order config."""
-    surrogate = iaaft(values, IaaftConfig(*iaaft_limits, seed))
+    surrogate = iaaft(values, IaaftConfig(rng_seed=seed))
     return [analyze_returns(surrogate.values, acfg) for acfg in acfgs]
 
 
 _worker_member = None
 
 
-def _init_worker(values, acfgs, iaaft_limits):
+def _init_worker(values, acfgs):
     # runs once per pool process, so the series is not pickled into every job
     global _worker_member
-    _worker_member = partial(_member_spectra, values, acfgs, iaaft_limits)
+    _worker_member = partial(_member_spectra, values, acfgs)
 
 
 def _worker_spectra(seed):
     return _worker_member(seed)
 
 
-def ensemble_spectra(values, size, base_seed, acfgs, workers=1,
-                     max_iterations=1000, spectrum_tolerance=1e-8):
+def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     """MF-DFA spectra of a deterministic surrogate ensemble, one list per
     config in acfgs: each member is generated once and analysed under
     every config.
@@ -150,7 +153,7 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1,
     """
     acfgs = tuple(acfgs)
     seeds = [derive_seed(base_seed, i) for i in range(size)]
-    shared = (values, acfgs, (max_iterations, spectrum_tolerance))
+    shared = (values, acfgs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=shared) as pool:
@@ -160,11 +163,9 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1,
     return [[member[k] for member in members] for k in range(len(acfgs))]
 
 
-def surrogate_spectra(values, size, base_seed, acfg, workers=1,
-                      max_iterations=1000, spectrum_tolerance=1e-8):
+def surrogate_spectra(values, size, base_seed, acfg, workers=1):
     """MF-DFA spectra of a deterministic surrogate ensemble for one config."""
-    return ensemble_spectra(values, size, base_seed, (acfg,), workers,
-                            max_iterations, spectrum_tolerance)[0]
+    return ensemble_spectra(values, size, base_seed, (acfg,), workers)[0]
 
 
 def _write_table(path, header, columns, fmt="%.17g"):
@@ -317,17 +318,17 @@ def _add_grid_flags(parser):
                         choices=(1, 2), default=None,
                         help="polynomial detrend order; repeatable")
     parser.add_argument("--q-min", type=float,
-                        default=_env_default("q-min", -5.0, float))
+                        default=_env_default("q-min", RunConfig.q_min, float))
     parser.add_argument("--q-max", type=float,
-                        default=_env_default("q-max", 5.0, float))
+                        default=_env_default("q-max", RunConfig.q_max, float))
     parser.add_argument("--q-step", type=float,
-                        default=_env_default("q-step", 0.25, float))
+                        default=_env_default("q-step", RunConfig.q_step, float))
     parser.add_argument("--s-min", type=int,
-                        default=_env_default("s-min", 20, int))
+                        default=_env_default("s-min", RunConfig.s_min, int))
     parser.add_argument("--s-max", type=int,
-                        default=_env_default("s-max", 316, int))
+                        default=_env_default("s-max", RunConfig.s_max, int))
     parser.add_argument("--s-count", type=int,
-                        default=_env_default("s-count", 30, int))
+                        default=_env_default("s-count", RunConfig.s_count, int))
 
 
 def _add_input_flags(parser):
@@ -335,9 +336,9 @@ def _add_input_flags(parser):
     parser.add_argument("--synth", default=None,
                         help="generator spec, e.g. cascade:levels=16,p=0.3")
     parser.add_argument("--date-col",
-                        default=_env_default("date-col", "date"))
+                        default=_env_default("date-col", RunConfig.date_col))
     parser.add_argument("--value-col",
-                        default=_env_default("value-col", "value"))
+                        default=_env_default("value-col", RunConfig.value_col))
 
 
 def build_parser():
@@ -352,19 +353,19 @@ def build_parser():
     _add_input_flags(analyze)
     _add_grid_flags(analyze)
     analyze.add_argument("--surrogates", type=int,
-                         default=_env_default("surrogates", 1000, int))
+                         default=_env_default("surrogates", RunConfig.surrogates, int))
     analyze.add_argument("--seed", type=int,
-                         default=_env_default("seed", 0, int))
+                         default=_env_default("seed", RunConfig.seed, int))
     analyze.add_argument("--alpha-level", type=float,
-                         default=_env_default("alpha-level", 0.05, float))
-    analyze.add_argument("--out", default=_env_default("out", "run"))
+                         default=_env_default("alpha-level", RunConfig.alpha_level, float))
+    analyze.add_argument("--out", default=_env_default("out", RunConfig.out_dir))
     analyze.add_argument("--workers", type=int,
-                         default=_env_default("workers", 1, int))
+                         default=_env_default("workers", RunConfig.workers, int))
 
     spectrum = sub.add_parser("spectrum", help="MF-DFA only, no surrogates")
     _add_input_flags(spectrum)
     _add_grid_flags(spectrum)
-    spectrum.add_argument("--out", default=_env_default("out", "run"))
+    spectrum.add_argument("--out", default=_env_default("out", RunConfig.out_dir))
 
     synth = sub.add_parser("synth", help="emit a generator series as CSV")
     synth.add_argument("--kind", required=True,

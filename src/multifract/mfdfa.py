@@ -109,7 +109,23 @@ def make_profile(returns):
     values = np.asarray(getattr(returns, "values", returns), dtype=float)
     if len(values) < 1:
         raise SeriesTooShort("empty return series")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(f"return {bad[0]} is {values[bad[0]]}, not a finite number")
     return Profile(np.cumsum(values))
+
+
+def _segments(values, s):
+    """The boxes of partition_segments(len(values), s) as a (k, s) array."""
+    n = len(values)
+    if s > n:
+        raise ScaleTooLarge(f"scale {s} exceeds series length {n}")
+    n_boxes = n // s
+    forward = values[: n_boxes * s].reshape(n_boxes, s)
+    if n_boxes * s == n:
+        return forward
+    backward = values[n - n_boxes * s:].reshape(n_boxes, s)
+    return np.concatenate([forward, backward])
 
 
 def partition_segments(n, s):
@@ -119,14 +135,7 @@ def partition_segments(n, s):
     floor(n/s) windows from each end are used and a short middle remnant
     of each pass stays uncovered.
     """
-    if s > n:
-        raise ScaleTooLarge(f"scale {s} exceeds series length {n}")
-    n_boxes = n // s
-    forward = [(v * s, (v + 1) * s) for v in range(n_boxes)]
-    if n_boxes * s == n:
-        return forward
-    backward = sorted((n - (v + 1) * s, n - v * s) for v in range(n_boxes))
-    return forward + backward
+    return [(int(start), int(start) + s) for start in _segments(np.arange(n), s)[:, 0]]
 
 
 def _design_basis(s, order):
@@ -139,19 +148,38 @@ def _design_basis(s, order):
 
 
 def detrend_segment(values, order):
-    """Residuals of the best least-squares polynomial of the given order."""
+    """Residuals of the best least-squares polynomial of the given order,
+    of one segment or of each row of a (k, s) array of segments."""
     values = np.asarray(values, dtype=float)
-    s = len(values)
+    s = values.shape[-1]
     if s < order + 2:
         raise Underdetermined(f"segment of {s} points cannot fit order {order}")
     basis = _design_basis(s, order)
-    return values - basis @ (basis.T @ values)
+    return values - (values @ basis) @ basis.T
 
 
 def local_fluctuation(residuals):
-    """Root mean square of a segment's detrended residuals."""
+    """Root mean square of a segment's detrended residuals, or of each row
+    of a (k, s) array of them."""
     residuals = np.asarray(residuals, dtype=float)
-    return float(np.sqrt(np.mean(residuals ** 2)))
+    return np.sqrt(np.mean(residuals ** 2, axis=-1))
+
+
+def _power_means(log_fv, q_grid):
+    """q-order power means of exp(log_fv), one per q (geometric at q=0)."""
+    q_grid = np.asarray(q_grid, dtype=float)
+    # the geometric mean wherever q is close to 0: dividing by a subnormal q
+    # below would lose every digit of the result. This is np.isclose(q, 0)
+    # with its default atol, written out because it runs at every scale.
+    zero_q = np.abs(q_grid) <= 1e-8
+    # log-domain power mean: peak-shifted with expm1/log1p so the result
+    # degrades gracefully into the geometric mean as q -> 0
+    scaled = q_grid[:, None] * log_fv[None, :]
+    peak = scaled.max(axis=1)
+    log_means = np.log1p(np.expm1(scaled - peak[:, None]).mean(axis=1))
+    means = np.exp((peak + log_means) / np.where(zero_q, 1.0, q_grid))
+    means[zero_q] = np.exp(np.mean(log_fv))
+    return means
 
 
 def overall_fluctuation(local_flucts, q, floor=0.0):
@@ -160,17 +188,7 @@ def overall_fluctuation(local_flucts, q, floor=0.0):
     fv = fv[fv >= floor] if floor > 0 else fv
     if len(fv) == 0:
         raise AllBoxesDegenerate()
-    log_fv = np.log(fv)
-    # the same zero test as fluctuation_surface: dividing by a subnormal q
-    # below would lose every digit of the result
-    if np.isclose(q, 0.0):
-        return float(np.exp(np.mean(log_fv)))
-    # log-domain power mean: peak-shifted with expm1/log1p so the result
-    # degrades gracefully into the geometric mean as q -> 0
-    scaled = q * log_fv
-    peak = np.max(scaled)
-    log_mean = np.log1p(np.mean(np.expm1(scaled - peak)))
-    return float(np.exp((peak + log_mean) / q))
+    return float(_power_means(np.log(fv), [q])[0])
 
 
 def fluctuation_surface(profile, cfg):
@@ -185,36 +203,14 @@ def fluctuation_surface(profile, cfg):
     floor = DEGENERACY_FLOOR_FACTOR * float(np.std(values))
     F = np.empty((len(q_grid), len(cfg.scale_grid)))
     excluded = np.zeros_like(F, dtype=int)
-    zero_q = np.isclose(q_grid, 0.0)
 
-    for j, s in enumerate(cfg.scale_grid):
-        s = int(s)
-        # same window set as partition_segments, built without a Python loop
-        n_boxes = n // s
-        forward = values[: n_boxes * s].reshape(n_boxes, s)
-        if n_boxes * s == n:
-            segments = forward
-        else:
-            backward = values[n - n_boxes * s:].reshape(n_boxes, s)
-            segments = np.concatenate([forward, backward])
-        basis = _design_basis(s, cfg.detrend_order)
-        residuals = segments - (segments @ basis) @ basis.T
-        fv = np.sqrt(np.mean(residuals ** 2, axis=1))
-
-        keep = fv >= floor if floor > 0 else np.ones(len(fv), dtype=bool)
-        n_excluded = int(len(fv) - keep.sum())
+    for j, s in enumerate(cfg.scale_grid.tolist()):
+        fv = local_fluctuation(detrend_segment(_segments(values, s), cfg.detrend_order))
+        keep = fv >= floor
         if not keep.any():
             raise AllBoxesDegenerate(q=q_grid[0], s=s)
-        excluded[:, j] = n_excluded
-
-        log_fv = np.log(fv[keep])
-        # vectorized log-domain power means over all q at once
-        scaled = q_grid[:, None] * log_fv[None, :]
-        peak = scaled.max(axis=1)
-        log_means = np.log1p(np.expm1(scaled - peak[:, None]).mean(axis=1))
-        col = np.exp((peak + log_means) / np.where(zero_q, 1.0, q_grid))
-        col[zero_q] = np.exp(np.mean(log_fv))
-        F[:, j] = col
+        excluded[:, j] = len(fv) - keep.sum()
+        F[:, j] = _power_means(np.log(fv[keep]), q_grid)
 
     return FluctuationSurface(F, q_grid, np.asarray(cfg.scale_grid), cfg.detrend_order, excluded)
 

@@ -176,7 +176,7 @@ def quadratic_tau_fit(q_grid, tau):
     if ss_res == 0.0:
         f_stat, model_p, r2 = np.inf, 0.0, 1.0
     else:
-        r2 = 1.0 - ss_res / ss_tot
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
         f_stat = (ss_tot - ss_res) / 2 / sigma2
         # fdtrc is nan below the support, where f.sf is 1
         model_p = float(special.fdtrc(2, df, max(f_stat, 0.0)))

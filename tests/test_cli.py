@@ -186,6 +186,18 @@ class TestExitCodes:
         assert main(["analyze", "--synth", "noise:n=2048",
                      "--surrogates", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [["--workers", "0"], ["--alpha-level", "7"],
+                                       ["--alpha-level", "0"], ["--alpha-level", "1"]])
+    def test_out_of_range_ensemble_flags_rejected(self, tmp_path, flags):
+        out = tmp_path / "r"
+        assert main(ANALYZE_ARGS + flags + ["--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_flag_defaults_are_run_config_defaults(self, command):
+        args = cli.build_parser().parse_args([command, "--synth", "noise"])
+        assert cli._run_config_from_args(args) == RunConfig(synth_spec="noise")
+
     def test_env_var_defaults(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MULTIFRACT_S_MAX", "128")
         monkeypatch.setenv("MULTIFRACT_S_MIN", "10")

@@ -77,6 +77,13 @@ class TestMakeProfile:
         profile = make_profile(returns)
         np.testing.assert_allclose(profile.values, log_prices[1:] - log_prices[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_return_rejected(self, bad):
+        returns = np.ones(10)
+        returns[[3, 7]] = bad
+        with pytest.raises(ValueError, match="return 3 "):
+            make_profile(returns)
+
 
 class TestPartition:
     def test_exact_division(self):
@@ -219,6 +226,29 @@ class TestSurface:
         np.testing.assert_allclose(scaled.tau, base.tau, atol=1e-10)
         np.testing.assert_allclose(scaled.alpha, base.alpha, atol=1e-9)
         np.testing.assert_allclose(scaled.f, base.f, atol=1e-9)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [1000, 997])
+    def test_matches_per_box_brute_force(self, order, n):
+        # explicit windows and np.polyfit per box; the scale grid mixes
+        # divisors of 1000 with non-divisors
+        cfg = AnalysisConfig(scale_grid=np.array([5, 8, 13, 20, 50, 125, 200]),
+                             detrend_order=order)
+        profile = make_profile(gaussian_white_noise(n, 11))
+        surface = fluctuation_surface(profile, cfg)
+        assert np.all(surface.excluded == 0)
+        for j, s in enumerate(cfg.scale_grid):
+            starts = [v * s for v in range(n // s)]
+            if n % s:
+                starts += [n - (v + 1) * s for v in range(n // s)]
+            t = np.arange(s, dtype=float)
+            fv = []
+            for a in starts:
+                box = profile.values[a:a + s]
+                trend = np.polyval(np.polyfit(t, box, order), t)
+                fv.append(np.sqrt(np.mean((box - trend) ** 2)))
+            expected = [brute_power_mean(fv, q) for q in cfg.q_grid]
+            np.testing.assert_allclose(surface.F[:, j], expected, rtol=1e-9)
 
     def test_determinism_bit_identical(self):
         cfg = AnalysisConfig()

@@ -171,6 +171,12 @@ class TestQuadraticTauFit:
             # below the support scipy.stats gives 1; the fit clamps F at 0 to match
             assert special.fdtrc(2, df, 0.0) == sps.f.sf(-1e-12, 2, df) == 1.0
 
+    def test_constant_tau(self):
+        # H = 0 everywhere: ss_tot is 0 while rounding leaves ss_res > 0
+        fit = quadratic_tau_fit(default_q_grid(), np.full(41, -1.0))
+        assert fit.r_squared == 1.0
+        np.testing.assert_allclose(fit.coefficients, [-1.0, 0.0, 0.0], atol=1e-12)
+
     def test_too_few_points(self):
         with pytest.raises(RankDeficient):
             quadratic_tau_fit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
