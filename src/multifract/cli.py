@@ -70,6 +70,12 @@ class RunConfig:
             raise ValueError("alpha level must lie strictly between 0 and 1")
         if not self.q_step > 0:
             raise ValueError("q step must be positive")
+        if not (self.s_min > 0 and self.s_max > 0 and self.s_count > 0):
+            raise ValueError("s min, s max and s count must be positive")
+        scales = len(default_scale_grid(self.s_min, self.s_max, self.s_count))
+        if scales < self.s_count:
+            raise ValueError(f"scales {self.s_min}..{self.s_max} round to {scales} "
+                             f"distinct integers, fewer than s count {self.s_count}")
         if not self.detrend_orders:
             raise ValueError("at least one detrend order required")
         if any(order not in (1, 2) for order in self.detrend_orders):
@@ -101,10 +107,12 @@ def synth_series(spec):
     kind, params = parse_synth_spec(spec)
     seed = int(params.get("seed", 0))
     if kind == "cascade":
+        # unseeded, the cascade is the deterministic one
+        shuffle_seed = params.get("shuffle_seed", params.get("seed"))
         masses = binomial_cascade(CascadeSpec(
             levels=int(params.get("levels", 16)),
             p=float(params.get("p", 0.3)),
-            seed=int(params["shuffle_seed"]) if "shuffle_seed" in params else None,
+            seed=None if shuffle_seed is None else int(shuffle_seed),
         ))
         return masses, f"cascade(levels={params.get('levels', 16)},p={params.get('p', 0.3)})"
     if kind == "fbm":
@@ -125,9 +133,12 @@ def load_returns(cfg):
 
 
 def _member_spectra(values, acfgs, seed):
-    """One IAAFT surrogate, analysed under every per-order config."""
+    """One IAAFT surrogate, analysed under every per-order config, and its
+    (iterations, stop reason, spectral residual)."""
     surrogate = iaaft(values, IaaftConfig(rng_seed=seed))
-    return [analyze_returns(surrogate.values, acfg) for acfg in acfgs]
+    diagnostics = (surrogate.iterations, surrogate.stop_reason,
+                   surrogate.spectrum_residual)
+    return [analyze_returns(surrogate.values, acfg) for acfg in acfgs], diagnostics
 
 
 _worker_member = None
@@ -145,8 +156,8 @@ def _worker_spectra(seed):
 
 def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     """MF-DFA spectra of a deterministic surrogate ensemble, one list per
-    config in acfgs: each member is generated once and analysed under
-    every config.
+    config in acfgs, and each member's IAAFT diagnostics: each member is
+    generated once and analysed under every config.
 
     Per-member seeds derive from (base_seed, index), so the result is
     independent of worker count and member evaluation order.
@@ -160,12 +171,24 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
             members = list(pool.map(_worker_spectra, seeds, chunksize=8))
     else:
         members = [_member_spectra(*shared, seed) for seed in seeds]
-    return [[member[k] for member in members] for k in range(len(acfgs))]
+    spectra = [[member[k] for member, _ in members] for k in range(len(acfgs))]
+    return spectra, [diagnostics for _, diagnostics in members]
 
 
 def surrogate_spectra(values, size, base_seed, acfg, workers=1):
     """MF-DFA spectra of a deterministic surrogate ensemble for one config."""
-    return ensemble_spectra(values, size, base_seed, (acfg,), workers)[0]
+    return ensemble_spectra(values, size, base_seed, (acfg,), workers)[0][0]
+
+
+def _iaaft_summary(diagnostics):
+    """Manifest block of an ensemble's (iterations, stop reason, residual)."""
+    iterations, reasons, residuals = zip(*diagnostics)
+    return {
+        "iterations_total": sum(iterations),
+        "stop_reasons": {reason: reasons.count(reason) for reason in sorted(set(reasons))},
+        "residual_median": float(np.median(residuals)),
+        "residual_max": max(residuals),
+    }
 
 
 def _write_table(path, header, columns, fmt="%.17g"):
@@ -217,8 +240,8 @@ def run_pipeline(cfg):
             timings[f"mfdfa_l{acfg.detrend_order}"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        ensembles = ensemble_spectra(values, cfg.surrogates, cfg.seed, acfgs,
-                                     workers=cfg.workers)
+        ensembles, diagnostics = ensemble_spectra(values, cfg.surrogates, cfg.seed,
+                                                  acfgs, workers=cfg.workers)
         timings["ensemble"] = time.perf_counter() - t0
 
         for order, (surface, spectrum), spectra in zip(cfg.detrend_orders, observed,
@@ -257,6 +280,7 @@ def run_pipeline(cfg):
                                   for i in range(min(cfg.surrogates, 16))]},
             "input_fingerprint": _fingerprint(cfg),
             "timings_s": timings,
+            "iaaft": _iaaft_summary(diagnostics),
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         marker.unlink()
@@ -374,7 +398,9 @@ def build_parser():
     synth.add_argument("--p", type=float, default=0.3)
     synth.add_argument("--n", type=int, default=16384)
     synth.add_argument("--hurst", type=float, default=0.5)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int, default=None,
+                       help="generator seed; fbm and noise use 0 when unset, "
+                            "cascade is then unshuffled")
     synth.add_argument("--out", required=True, help="output CSV path")
 
     compare = sub.add_parser("compare", help="compare detrend orders of one run")
@@ -428,8 +454,9 @@ def _cmd_spectrum(args):
 
 
 def _cmd_synth(args):
+    seed = "" if args.seed is None else f",seed={args.seed}"
     values, _ = synth_series(f"{args.kind}:levels={args.levels},p={args.p},n={args.n},"
-                             f"hurst={args.hurst},seed={args.seed}")
+                             f"hurst={args.hurst}{seed}")
     # synthesized calendar so the file round-trips through the CSV loader;
     # prices are exp of the cumulative series, so log-returns recover it
     start = date(2000, 1, 1)

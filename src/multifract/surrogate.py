@@ -57,10 +57,6 @@ class SurrogateEnsemble:
         return self.surrogates.shape[0]
 
 
-def _spectrum_residual(amplitudes, target):
-    return float(np.linalg.norm(amplitudes - target) / np.linalg.norm(target))
-
-
 def iaaft(x, cfg):
     """One IAAFT surrogate of x.
 
@@ -71,6 +67,10 @@ def iaaft(x, cfg):
     iteration cap. The returned series is the rank-adjusted iterate, so
     its sorted values equal the source's bit-exactly.
     """
+    # scipy.fft caches a plan per length (numpy.fft rebuilds its Bluestein
+    # plan on every call); imported here so the CLI import does not pay for it
+    from scipy import fft
+
     x = np.asarray(x, dtype=float)
     n = len(x)
     if n < 8:
@@ -80,7 +80,7 @@ def iaaft(x, cfg):
 
     rng = np.random.default_rng(np.random.PCG64(cfg.rng_seed))
     sorted_x = np.sort(x)
-    target_amp = np.abs(np.fft.rfft(x))
+    target_amp = np.abs(fft.rfft(x))
     target_norm = np.linalg.norm(target_amp)
 
     current = rng.permutation(x)
@@ -89,7 +89,7 @@ def iaaft(x, cfg):
     stop = "max_iterations"
     iterations = cfg.max_iterations
     for it in range(1, cfg.max_iterations + 1):
-        spectrum = np.fft.rfft(current)
+        spectrum = fft.rfft(current)
         amplitudes = np.abs(spectrum)
         if it > 1:
             # current is the previous rank-adjusted iterate; stop on a
@@ -100,7 +100,7 @@ def iaaft(x, cfg):
                 break
         unit = spectrum / np.where(amplitudes > 0, amplitudes, 1.0)
         unit[amplitudes == 0] = 1.0
-        matched = np.fft.irfft(target_amp * unit, n)
+        matched = fft.irfft(target_amp * unit, n)
         order = np.argsort(matched)
         if prev_order is not None and np.array_equal(order, prev_order):
             # rank adjustment would reproduce the same iterate; its
@@ -112,7 +112,7 @@ def iaaft(x, cfg):
         prev_order = order
     else:
         residual = float(
-            np.linalg.norm(np.abs(np.fft.rfft(current)) - target_amp) / target_norm
+            np.linalg.norm(np.abs(fft.rfft(current)) - target_amp) / target_norm
         )
     return IaaftResult(current, iterations, residual, stop)
 

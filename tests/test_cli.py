@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from multifract.cli import (
     synth_series,
 )
 from multifract.ingest import load_price_csv, log_returns
+from multifract.surrogate import IaaftConfig, derive_seed, iaaft
+from multifract.synth import CascadeSpec, binomial_cascade
 
 
 class TestSynthSpecParsing:
@@ -40,6 +46,18 @@ class TestSynthSpecParsing:
         with pytest.raises(ValueError):
             synth_series("brownian:n=10")
 
+    def test_cascade_seed_shuffles(self):
+        one, _ = synth_series("cascade:levels=8,p=0.3,seed=1")
+        two, _ = synth_series("cascade:levels=8,p=0.3,seed=2")
+        again, _ = synth_series("cascade:levels=8,p=0.3,seed=1")
+        assert not np.array_equal(one, two)
+        assert np.array_equal(one, again)
+        assert np.array_equal(np.sort(one), np.sort(two))
+
+    def test_unseeded_cascade_is_deterministic(self):
+        masses, _ = synth_series("cascade:levels=8,p=0.3")
+        assert np.array_equal(masses, binomial_cascade(CascadeSpec(8, 0.3)))
+
 
 class TestRunConfig:
     def test_requires_input_or_synth(self):
@@ -58,6 +76,10 @@ class TestRunConfig:
     def test_rejects_non_positive_q_step(self, step):
         with pytest.raises(ValueError):
             RunConfig(synth_spec="noise", q_step=step)
+
+    def test_rejects_scale_grid_short_of_s_count(self):
+        with pytest.raises(ValueError, match="round to 8 distinct"):
+            RunConfig(synth_spec="noise", s_min=5, s_max=12, s_count=30)
 
     def test_analysis_config_grids(self):
         cfg = RunConfig(synth_spec="noise", q_step=0.5, s_min=10, s_max=100)
@@ -151,6 +173,19 @@ class TestSynthCommand:
                      "--out", str(path)]) == EXIT_OK
         assert len(path.read_text().splitlines()) == 258  # header + 257 rows
 
+    def test_cascade_seed_flag(self, tmp_path):
+        def recovered(*flags):
+            path = tmp_path / "cascade.csv"
+            assert main(["synth", "--kind", "cascade", "--levels", "8",
+                         *flags, "--out", str(path)]) == EXIT_OK
+            return log_returns(load_price_csv(path, "date", "value")).values
+
+        unseeded = binomial_cascade(CascadeSpec(8, 0.3))
+        np.testing.assert_allclose(recovered(), unseeded, atol=1e-12)
+        seeded, _ = synth_series("cascade:levels=8,p=0.3,seed=4")
+        np.testing.assert_allclose(recovered("--seed", "4"), seeded, atol=1e-12)
+        assert not np.allclose(seeded, unseeded)
+
     def test_analyze_reads_synth_file(self, tmp_path):
         path = tmp_path / "prices.csv"
         main(["synth", "--kind", "noise", "--n", "2048", "--seed", "4",
@@ -220,6 +255,26 @@ class TestExitCodes:
                      "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    def test_short_scale_grid_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["analyze", "--synth", "noise:n=2048", "--s-min", "5",
+                     "--s-max", "12", "--s-count", "30", "--out", str(out)]) == EXIT_CONFIG
+        assert "round to 8 distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_s_count_is_config_error(self, tmp_path):
+        assert main(["spectrum", "--synth", "noise:n=2048", "--s-count", "0",
+                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+
+    def test_import_does_not_load_scipy_fft(self):
+        # scipy.fft is imported inside iaaft, so commands that never run it
+        # do not pay for loading it
+        code = ("import sys, multifract.cli as cli; cli.build_parser(); "
+                "assert 'scipy.fft' not in sys.modules, 'scipy.fft imported'")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+
     def test_version_flag(self, capsys):
         # argparse's SystemExit is translated into a return code
         assert main(["--version"]) == EXIT_OK
@@ -279,3 +334,19 @@ class TestSharedEnsemble:
         names = ENSEMBLE_ARTIFACTS + [n.replace("_l1", "_l2") for n in ENSEMBLE_ARTIFACTS]
         for name in names:
             assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+        assert _manifest_iaaft(serial) == _manifest_iaaft(pooled)
+
+    def test_manifest_iaaft_block(self, tmp_path):
+        block = _manifest_iaaft(_pipeline(tmp_path, "r", (1, 2)))
+        values, _ = synth_series("noise:n=2048,seed=8")
+        results = [iaaft(values, IaaftConfig(rng_seed=derive_seed(11, i)))
+                   for i in range(6)]
+        assert block["iterations_total"] == sum(r.iterations for r in results)
+        assert sum(block["stop_reasons"].values()) == 6
+        residuals = [r.spectrum_residual for r in results]
+        assert block["residual_median"] == float(np.median(residuals))
+        assert block["residual_max"] == max(residuals)
+
+
+def _manifest_iaaft(out):
+    return json.loads((out / "manifest.json").read_text())["iaaft"]

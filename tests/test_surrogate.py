@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,30 @@ class TestIaaft:
         x = gaussian_white_noise(1023, 13)
         result = iaaft(x, IaaftConfig(rng_seed=14))
         assert np.array_equal(np.sort(result.values), np.sort(x))
+
+
+class TestIaaftGolden:
+    """sha256 of the surrogate's bytes, iterations, stop reason and the
+    repr of the residual, captured with the numpy.fft transforms: an FFT
+    backend or rank-step change must reproduce them bit for bit."""
+
+    @pytest.mark.parametrize("n, source_seed, cfg, digest, iterations, stop, residual", [
+        (993, 41, IaaftConfig(rng_seed=42),
+         "c39e62584e0c6af681098c89ddd0167f44a9b15d1605d1ba86706d1925617ebe",
+         26, "fixed_point", "0.003151740369547374"),
+        (1024, 43, IaaftConfig(rng_seed=44),
+         "7ed4321f0b758c5499fe92a078e022987e7f06df1fd2e0fc248f6d6ee34b8153",
+         27, "fixed_point", "0.003286572071798501"),
+        (993, 45, IaaftConfig(max_iterations=5, rng_seed=46),
+         "3a3f57ddc89e41eeaaaa9128ea53f3ca869095cd74c2a66d0f17407de9acf9f4",
+         5, "max_iterations", "0.007944524054220747"),
+    ])
+    def test_bit_identical(self, n, source_seed, cfg, digest, iterations, stop, residual):
+        result = iaaft(gaussian_white_noise(n, source_seed), cfg)
+        assert hashlib.sha256(result.values.tobytes()).hexdigest() == digest
+        assert result.iterations == iterations
+        assert result.stop_reason == stop
+        assert repr(result.spectrum_residual) == residual
 
 
 class TestEnsemble:
