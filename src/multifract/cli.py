@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError("detrend orders must be a subset of {1, 2}")
         if not (self.input_path or self.synth_spec):
             raise ValueError("either an input path or a synth spec is required")
+        for order in self.detrend_orders:
+            self.analysis_config(order)  # rejects a q grid without 0 or 2
 
     def analysis_config(self, order):
         return AnalysisConfig(
@@ -127,9 +129,15 @@ def synth_series(spec):
 def load_returns(cfg):
     if cfg.synth_spec:
         values, label = synth_series(cfg.synth_spec)
-        return np.asarray(values, dtype=float), label
-    prices = load_price_csv(cfg.input_path, cfg.date_col, cfg.value_col)
-    return log_returns(prices).values, prices.label
+        values = np.asarray(values, dtype=float)
+    else:
+        prices = load_price_csv(cfg.input_path, cfg.date_col, cfg.value_col)
+        values, label = log_returns(prices).values, prices.label
+    largest = default_scale_grid(cfg.s_min, cfg.s_max, cfg.s_count)[-1]
+    if largest > len(values) // 4:  # AnalysisConfig.validate_for_length's test
+        raise SeriesTooShort(f"{len(values)} returns are too few for the largest "
+                             f"scale {largest}, which exceeds N/4 = {len(values) // 4}")
+    return values, label
 
 
 def _member_spectra(values, acfgs, seed):

@@ -67,6 +67,13 @@ class ReturnSeries:
 
 
 def _parse_date(text):
+    # fromisoformat is far cheaper than strptime, but in Python 3.11 it also
+    # takes week and compact dates that "%Y-%m-%d" rejects: gate on the shape
+    if len(text) == 10 and text[4] == text[7] == "-" and text.isascii():
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
     for fmt in _DATE_FORMATS:
         try:
             return datetime.strptime(text, fmt).date()
@@ -76,11 +83,14 @@ def _parse_date(text):
 
 
 def _parse_price(text):
-    cleaned = text.strip().replace(",", "").replace(" ", "")
+    # text float() takes has no comma or inner space, so needs no clean-up
     try:
-        value = float(cleaned)
+        value = float(text)
     except ValueError:
-        return None
+        try:
+            value = float(text.strip().replace(",", "").replace(" ", ""))
+        except ValueError:
+            return None
     return value if math.isfinite(value) else None
 
 
@@ -91,46 +101,70 @@ def _detect_delimiter(sample):
         return ","
 
 
+def _undecodable_line(path):
+    """1-based line of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+
+
 def load_price_csv(path, date_col, value_col, label=None):
     """Load a delimiter-separated price file into a PriceSeries.
 
     Blank rows and rows with empty cells are skipped with a warning
-    (holiday gaps in real exports). Unparseable or non-positive prices
-    and out-of-order dates raise with the offending 1-based line number.
+    (holiday gaps in real exports). Unparseable or non-positive prices,
+    out-of-order dates, fields past csv's size limit and bytes that are
+    not UTF-8 raise with the offending 1-based line number.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=_detect_delimiter(sample))
-        if reader.fieldnames is None:
-            raise MalformedRow(1, "missing header row")
-        for col in (date_col, value_col):
-            if col not in reader.fieldnames:
-                raise MalformedRow(1, f"missing column {col!r}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            sample = fh.read(4096)
+            fh.seek(0)
+            reader = csv.reader(fh, delimiter=_detect_delimiter(sample))
+            # as csv.DictReader: the header is the first physical row and
+            # the last of duplicate column names wins
+            header = next(reader, None)
+            if header is None:
+                raise MalformedRow(1, "missing header row")
+            columns = {name: i for i, name in enumerate(header)}
+            for col in (date_col, value_col):
+                if col not in columns:
+                    raise MalformedRow(1, f"missing column {col!r}")
+            date_at, value_at = columns[date_col], columns[value_col]
 
-        dates, values = [], []
-        for row in reader:
-            lineno = reader.line_num
-            raw_date = (row.get(date_col) or "").strip()
-            raw_value = (row.get(value_col) or "").strip()
-            if not raw_date and not raw_value:
-                log.warning("%s: skipping blank row at line %d", path, lineno)
-                continue
-            if not raw_date or not raw_value:
-                log.warning("%s: skipping incomplete row at line %d", path, lineno)
-                continue
-            parsed_date = _parse_date(raw_date)
-            if parsed_date is None:
-                raise MalformedRow(lineno, f"bad date {raw_date!r}")
-            price = _parse_price(raw_value)
-            if price is None:
-                raise MalformedRow(lineno, f"bad price {raw_value!r}")
-            if price <= 0:
-                raise NonPositivePrice(lineno)
-            if dates and parsed_date <= dates[-1]:
-                raise NonMonotoneDates(lineno)
-            dates.append(parsed_date)
-            values.append(price)
+            dates, values = [], []
+            for row in reader:
+                if not row:
+                    continue
+                lineno = reader.line_num
+                # a short row's missing cells read as empty
+                raw_date = row[date_at].strip() if date_at < len(row) else ""
+                raw_value = row[value_at].strip() if value_at < len(row) else ""
+                if not raw_date and not raw_value:
+                    log.warning("%s: skipping blank row at line %d", path, lineno)
+                    continue
+                if not raw_date or not raw_value:
+                    log.warning("%s: skipping incomplete row at line %d", path, lineno)
+                    continue
+                parsed_date = _parse_date(raw_date)
+                if parsed_date is None:
+                    raise MalformedRow(lineno, f"bad date {raw_date!r}")
+                price = _parse_price(raw_value)
+                if price is None:
+                    raise MalformedRow(lineno, f"bad price {raw_value!r}")
+                if price <= 0:
+                    raise NonPositivePrice(lineno)
+                if dates and parsed_date <= dates[-1]:
+                    raise NonMonotoneDates(lineno)
+                dates.append(parsed_date)
+                values.append(price)
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(_undecodable_line(path), f"not UTF-8: {exc.reason}") from None
 
     if len(values) < 2:
         raise SeriesTooShort(f"{path}: only {len(values)} usable rows")

@@ -176,7 +176,9 @@ def _power_means(log_fv, q_grid):
     # degrades gracefully into the geometric mean as q -> 0
     scaled = q_grid[:, None] * log_fv[None, :]
     peak = scaled.max(axis=1)
-    log_means = np.log1p(np.expm1(scaled - peak[:, None]).mean(axis=1))
+    # in place, so the products are the only (n_q, k) temporary
+    np.subtract(scaled, peak[:, None], out=scaled)
+    log_means = np.log1p(np.expm1(scaled, out=scaled).mean(axis=1))
     means = np.exp((peak + log_means) / np.where(zero_q, 1.0, q_grid))
     means[zero_q] = np.exp(np.mean(log_fv))
     return means

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multifract import cli
 from multifract.cli import (
@@ -148,10 +150,11 @@ class TestPipeline:
 
     def test_incomplete_marker_left_on_failure(self, tmp_path):
         out = tmp_path / "run"
-        # default s_max=316 exceeds N/4 for a 512-point series
+        # default s_max=316 exceeds N/4 for a 512-point series, a data fault
+        # found once the series is loaded, inside the run directory
         code = main(["analyze", "--synth", "noise:n=512,seed=1",
                      "--surrogates", "4", "--out", str(out)])
-        assert code == EXIT_NUMERIC
+        assert code == EXIT_DATA
         assert (out / "INCOMPLETE").exists()
         assert not (out / "manifest.json").exists()
 
@@ -262,6 +265,33 @@ class TestExitCodes:
         assert "round to 8 distinct" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("q_range", [("1", "5"), ("-5", "1")])
+    def test_q_grid_without_0_or_2_rejected_before_output(self, tmp_path, command,
+                                                          q_range):
+        out = tmp_path / "r"
+        assert main([command, "--synth", "noise:n=4096", "--q-min", q_range[0],
+                     "--q-max", q_range[1], "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_series_short_of_scale_grid_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,value\n2020-01-01,100\n2020-01-02,101\n2020-01-03,99\n")
+        assert main(["analyze", "--input", str(path), "--surrogates", "4",
+                     "--out", str(tmp_path / "r")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "2 returns" in err and "largest scale 316" in err
+
+    @pytest.mark.parametrize("tail", [b'"' + b"1" * 140_000 + b'"', b"10\xff1"],
+                             ids=["long_field", "not_utf8"])
+    def test_loader_faults_are_data_errors(self, tmp_path, capsys, tail):
+        # a field past csv's limit and a byte that is not UTF-8
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,value\n2020-01-01,100\n2020-01-02," + tail + b"\n")
+        assert main(["spectrum", "--input", str(path),
+                     "--out", str(tmp_path / "r")]) == EXIT_DATA
+        assert "data error: line 3:" in capsys.readouterr().err
+
     def test_zero_s_count_is_config_error(self, tmp_path):
         assert main(["spectrum", "--synth", "noise:n=2048", "--s-count", "0",
                      "--out", str(tmp_path / "r")]) == EXIT_CONFIG
@@ -350,3 +380,37 @@ class TestSharedEnsemble:
 
 def _manifest_iaaft(out):
     return json.loads((out / "manifest.json").read_text())["iaaft"]
+
+
+CSV_CELLS = st.sampled_from([
+    "date", "value", "2000-01-03", "2000-01-04", "03/01/2000", "2000-1-5",
+    "2000-W01-1", "100", "101.5", "1,234.5", '"1,234.5"', "1 234.5", "0", "-3",
+    "nan", "inf", "", " ", '"', '""', '"a\nb"', "\ufeff", "\x00", "é",
+    '"' + "9" * 131_100 + '"',
+])
+
+
+@st.composite
+def csv_bytes(draw):
+    """Price files with mixed delimiters, quotes, BOMs, long fields and
+    bytes that are not UTF-8."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    rows = draw(st.lists(st.lists(CSV_CELLS, max_size=4), max_size=8))
+    text = newline.join(delimiter.join(row) for row in rows)
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+    junk = draw(st.binary(max_size=3))
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + junk + data[at:]
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(csv_bytes(), st.binary(max_size=64)))
+    def test_every_input_maps_to_an_exit_code(self, tmp_path, capsys, data):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data)
+        code = main(["spectrum", "--input", str(path), "--out", str(tmp_path / "r")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        capsys.readouterr()
