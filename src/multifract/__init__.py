@@ -36,7 +36,7 @@ from .mftest import (
     verdict,
     width_test,
 )
-from .surrogate import IaaftConfig, IaaftResult, SurrogateEnsemble, ensemble, iaaft, save_ensemble
+from .surrogate import IaaftConfig, IaaftResult, iaaft
 from .synth import (
     CascadeSpec,
     FbmSpec,

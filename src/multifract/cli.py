@@ -38,8 +38,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_DATA_ERRORS = (MalformedRow, NonMonotoneDates, NonPositivePrice, SeriesTooShort,
-                FileNotFoundError)
+_DATA_ERRORS = (MalformedRow, NonMonotoneDates, NonPositivePrice, SeriesTooShort, OSError)
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,6 @@ def load_returns(cfg):
     else:
         prices = load_price_csv(cfg.input_path, cfg.date_col, cfg.value_col)
         values, label = log_returns(prices).values, prices.label
-    largest = default_scale_grid(cfg.s_min, cfg.s_max, cfg.s_count)[-1]
-    if largest > len(values) // 4:  # AnalysisConfig.validate_for_length's test
-        raise SeriesTooShort(f"{len(values)} returns are too few for the largest "
-                             f"scale {largest}, which exceeds N/4 = {len(values) // 4}")
     return values, label
 
 
@@ -448,12 +443,13 @@ def _cmd_analyze(args):
 def _cmd_spectrum(args):
     cfg = _run_config_from_args(args)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     values, label = load_returns(cfg)
     profile = make_profile(values)
     for order in cfg.detrend_orders:
         surface = fluctuation_surface(profile, cfg.analysis_config(order))
         spectrum = spectrum_from_surface(surface)
+        # created only now, so a data fault leaves no empty directory behind
+        out.mkdir(parents=True, exist_ok=True)
         export_surface(surface, out / f"surface_l{order}.tsv")
         export_spectrum(spectrum, out / f"spectrum_l{order}.tsv")
         print(f"{label} l={order}: H(2)={spectrum.H[np.argmin(np.abs(spectrum.q_grid - 2)) ]:.4f} "

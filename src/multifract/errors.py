@@ -35,7 +35,7 @@ class DegenerateSeries(MultifractError):
 
 # --- mfdfa ---
 
-class ScaleTooLarge(MultifractError):
+class ScaleTooLarge(SeriesTooShort):
     pass
 
 

@@ -60,9 +60,8 @@ class AnalysisConfig:
 
     def validate_for_length(self, n):
         if self.scale_grid[-1] > n // 4:
-            raise ScaleTooLarge(
-                f"largest scale {self.scale_grid[-1]} exceeds N/4 = {n // 4}"
-            )
+            raise ScaleTooLarge(f"{n} returns are too few for the largest scale "
+                                f"{self.scale_grid[-1]}, which exceeds N/4 = {n // 4}")
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,6 @@ def fluctuation_surface(profile, cfg):
     values = profile.values
     n = len(values)
     cfg.validate_for_length(n)
-    if n < 4 * cfg.scale_grid[0]:
-        raise SeriesTooShort(f"profile of {n} points too short for the scale grid")
 
     q_grid = cfg.q_grid
     floor = DEGENERACY_FLOOR_FACTOR * float(np.std(values))
@@ -238,7 +235,7 @@ def hurst_spectrum(surface):
         ss_res = float(np.dot(resid, resid))
         ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
         H[i] = slope
-        stderr[i] = np.sqrt(ss_res / (n - 2) / np.dot(x_c, x_c)) if n > 2 else 0.0
+        stderr[i] = np.sqrt(ss_res / (n - 2) / np.dot(x_c, x_c))
         r2[i] = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return H, stderr, r2
 

@@ -73,7 +73,6 @@ class TestReport:
     shape: ShapeFlags
     significance_level: float
     verdict: str
-    external_rows: tuple = ()  # optional comparison rows from other methods
 
     def to_dict(self):
         fit = self.quad_fit
@@ -120,7 +119,6 @@ class TestReport:
             },
             "significance_level": self.significance_level,
             "verdict": self.verdict,
-            "external_rows": [dict(row) for row in self.external_rows],
         }
 
 
@@ -215,8 +213,7 @@ def shape_diagnostics(spectrum):
     return ShapeFlags(h_monotone, bell, knot)
 
 
-def verdict(label, detrend_order, spectrum, ens_stats, quad_fit=None,
-            significance_level=0.05, external_rows=()):
+def verdict(label, detrend_order, spectrum, ens_stats, significance_level=0.05):
     """Combine all component tests into a TestReport.
 
     Intrinsic multifractality requires monotone H, a bell-shaped spectrum,
@@ -225,8 +222,7 @@ def verdict(label, detrend_order, spectrum, ens_stats, quad_fit=None,
     at most apparent. The spectrum-difference p-value is recorded but
     never decisive.
     """
-    if quad_fit is None:
-        quad_fit = quadratic_tau_fit(spectrum.q_grid, spectrum.tau)
+    quad_fit = quadratic_tau_fit(spectrum.q_grid, spectrum.tau)
     shape = shape_diagnostics(spectrum)
     p_width = width_test(spectrum.delta_alpha, ens_stats)
     p_f = spectrum_difference_test(spectrum.delta_f, ens_stats)
@@ -260,7 +256,6 @@ def verdict(label, detrend_order, spectrum, ens_stats, quad_fit=None,
         shape=shape,
         significance_level=significance_level,
         verdict=label_verdict,
-        external_rows=tuple(external_rows),
     )
 
 
@@ -294,6 +289,4 @@ def format_report(report):
         f"bell-shaped = {report.shape.bell_shaped}, knot = {report.shape.knot}",
         f"Verdict: {report.verdict}",
     ]
-    for row in report.external_rows:
-        lines.append(f"External: {row}")
     return "\n".join(lines)

@@ -2,9 +2,7 @@
 spectrum preserved up to a reported residual, nonlinear correlations
 destroyed."""
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -41,20 +39,6 @@ class IaaftResult:
     iterations: int
     spectrum_residual: float
     stop_reason: str  # "tolerance" | "fixed_point" | "max_iterations"
-
-
-@dataclass(frozen=True)
-class SurrogateEnsemble:
-    surrogates: np.ndarray        # (size, n)
-    seeds: tuple
-    iterations: tuple
-    residuals: tuple
-    source_label: str = ""
-    base_seed: int = 0
-
-    @property
-    def size(self):
-        return self.surrogates.shape[0]
 
 
 def iaaft(x, cfg):
@@ -116,51 +100,3 @@ def iaaft(x, cfg):
         )
     return IaaftResult(current, iterations, residual, stop)
 
-
-def ensemble(x, size, base_seed, max_iterations=1000, spectrum_tolerance=1e-8):
-    """Deterministic ensemble of independent surrogates.
-
-    Per-member seeds are a splitmix64 derivation of (base_seed, index),
-    so the same base seed reproduces the ensemble bit-exactly and
-    members are order-independent.
-    """
-    if size < 1:
-        raise ValueError("ensemble size must be >= 1")
-    x = np.asarray(x, dtype=float)
-    seeds = tuple(derive_seed(base_seed, i) for i in range(size))
-    surrogates = np.empty((size, len(x)))
-    iterations, residuals = [], []
-    for i, seed in enumerate(seeds):
-        result = iaaft(x, IaaftConfig(max_iterations, spectrum_tolerance, seed))
-        surrogates[i] = result.values
-        iterations.append(result.iterations)
-        residuals.append(result.spectrum_residual)
-    return SurrogateEnsemble(
-        surrogates, seeds, tuple(iterations), tuple(residuals),
-        source_label="", base_seed=int(base_seed),
-    )
-
-
-def save_ensemble(ens, path, delimiter="\t"):
-    """Write one columnar file (surrogate index, t, value) plus a seed
-    manifest alongside it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    size, n = ens.surrogates.shape
-    idx = np.repeat(np.arange(size), n)
-    t = np.tile(np.arange(n), size)
-    table = np.column_stack([idx, t, ens.surrogates.ravel()])
-    np.savetxt(path, table, delimiter=delimiter,
-               header=delimiter.join(["surrogate", "t", "value"]),
-               comments="", fmt=["%d", "%d", "%.17g"])
-    manifest = {
-        "base_seed": ens.base_seed,
-        "size": size,
-        "length": n,
-        "seeds": [int(s) for s in ens.seeds],
-        "iterations": list(ens.iterations),
-        "spectrum_residuals": list(ens.residuals),
-    }
-    path.with_suffix(path.suffix + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2)
-    )

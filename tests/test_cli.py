@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multifract import cli
+from multifract import cli, mfdfa
 from multifract.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -220,6 +222,12 @@ class TestExitCodes:
         assert main(["analyze", "--input", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "r")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_directory_input_is_data_error(self, tmp_path, capsys, command):
+        assert main([command, "--input", str(tmp_path),
+                     "--out", str(tmp_path / "r")]) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
+
     def test_tiny_ensemble_rejected(self, tmp_path):
         assert main(["analyze", "--synth", "noise:n=2048",
                      "--surrogates", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -277,10 +285,13 @@ class TestExitCodes:
     def test_series_short_of_scale_grid_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "prices.csv"
         path.write_text("date,value\n2020-01-01,100\n2020-01-02,101\n2020-01-03,99\n")
-        assert main(["analyze", "--input", str(path), "--surrogates", "4",
-                     "--out", str(tmp_path / "r")]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "2 returns" in err and "largest scale 316" in err
+        for command in (["analyze", "--surrogates", "4"], ["spectrum"]):
+            out = tmp_path / command[0]
+            assert main(command + ["--input", str(path), "--out", str(out)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert "2 returns" in err and "largest scale 316" in err
+            # analyze leaves its INCOMPLETE marker; spectrum leaves nothing
+            assert out.exists() == (command[0] == "analyze")
 
     @pytest.mark.parametrize("tail", [b'"' + b"1" * 140_000 + b'"', b"10\xff1"],
                              ids=["long_field", "not_utf8"])
@@ -320,6 +331,85 @@ class TestRunPipelineApi:
         assert set(reports) == {1, 2}
         assert reports[1].detrend_order == 1
         assert reports[2].detrend_order == 2
+
+
+# sha256 of each artifact of a run_pipeline run with orders 1 and 2, 16
+# surrogates and seed 11, and of the manifest's iaaft block as sorted JSON.
+# Captured with numpy 2.4.6 and scipy 1.17.1; a numerics change re-pins them
+# and says why.
+GOLDEN_RUNS = {
+    "noise:n=4096,seed=1": {
+        "surface_l1.tsv": "4dd016a9e82c0e1b99cd667d6a0e6176e530888723c5bf26c6e38e007c61ad89",
+        "surface_l2.tsv": "b1d308f58088614d2c8bbc992df3bc5a953940739b17110c52d9011e99ca38b4",
+        "spectrum_l1.tsv": "8a2276941c202f112edcc78608f8e5d58a16d7fd84f5456bc94fdfdf68c07ea7",
+        "spectrum_l2.tsv": "f8ce16c9c7a660164c0f65f0b67dc65308b9eb9a406be68b0a6931f702b453b3",
+        "ensemble_stats_l1.tsv": "2e47d05fd532493bf40d51e2b9cf62ed077983948a47829dcd9c287ce0804752",
+        "ensemble_stats_l2.tsv": "07fb8b4cb23120545b0e4530fd38a3990ba0ad5ec9d903338dc6a04f69b61557",
+        "delta_alpha_samples_l1.tsv": "f1404a6643afcbc1e50c9ad1fddf78b0d4ff9a4b603aad3376b4a6c53e445128",
+        "delta_alpha_samples_l2.tsv": "9a6378856eccab147ca53f2f58e97d56c2a805806ed5c23d935c7eda0d462897",
+        "delta_f_samples_l1.tsv": "b378ab314523e98fe827166ad7fbb832e981d7603be7a9190112dd350efc8dfc",
+        "delta_f_samples_l2.tsv": "e2e67f294c7d9020ec5544d8e161e95f3d7f56e40d274cc00495cfdcf18b7f8a",
+        "report_l1.txt": "beb6a60e6139f6de403dbbd904e5b294adee5822a3adf50872042ae5fda5a1e7",
+        "report_l2.txt": "ed15d66517bebf0a316308d83e27cd3c21b4c4fad507f2b98afc1eb01141262c",
+        "report_l1.json": "64bf20006ac7c88f789dd22d25e3db2f2ab347aec82f00fcd77fc8cf5b56b826",
+        "report_l2.json": "19569dc635079d488f80cd213020636a9bcd8fa13cf2c9de246be00d37e582db",
+        "iaaft": "b1116a501fc22b69630ab98c334f732b1c9665aa38f0f46e5cee445c80bb131e",
+    },
+    "cascade:levels=12,p=0.3,seed=5": {
+        "surface_l1.tsv": "5a9e3831ce6a1f60bc0b3d572901e280dc5e06b8ca5b3ca77463e740384fa240",
+        "surface_l2.tsv": "4c259f951daf0d0b050877583c9b54e53a9b7bd6d73f92e7e113fd8184a8313e",
+        "spectrum_l1.tsv": "76f32c58039feb8881d2a449476fd1f404d924300f62e2e9d830d63f68ad247f",
+        "spectrum_l2.tsv": "2d2fec35015a2a2078e1f491cacb9d7a2de88465b559c4c5aedf05e465dd90c3",
+        "ensemble_stats_l1.tsv": "ddaa5f01e85cf4dc2d57b58e1a53d8fe860ac930bd25910bbf39062f0c44b464",
+        "ensemble_stats_l2.tsv": "6da48bb0130ea136918abf600bf5ff3d8e1302f51eae9022bf73f59b87be460c",
+        "delta_alpha_samples_l1.tsv": "6162d86386b989cb17758bc6d7bb163639ac1256c75e31e101ae8d459aeff092",
+        "delta_alpha_samples_l2.tsv": "325ee8ac749ade7904731775757a3efd7bc655f7bbfb0e967a8500583d61e4fc",
+        "delta_f_samples_l1.tsv": "25fc83f238ed347ed8d6d1be8079eca0a1af9d6fe10c15bbd0ebfdd146828ec0",
+        "delta_f_samples_l2.tsv": "11f6e355125f730681dc59aab8fb66d3bdb151989841ac4f9da4d67607ce1137",
+        "report_l1.txt": "90dfb737fe3ee5c68a07e9363adb049d531695a4f9135b4e065da73f487ac002",
+        "report_l2.txt": "1ec0613bb81d59d76140063b480dd12a1d49d77e318a5c04831ab9fcd7bd1352",
+        "report_l1.json": "cdf13184e4893f5a9823d7e989f2b28c235066f5dca230d7939f18a1578337ad",
+        "report_l2.json": "1e940d566601a16be733e9b06f66ecb71850dba99666eff41d66dc8287beff27",
+        "iaaft": "5f18e6634a122f1b7447eb0819ef1f4dc513edc7e3d3d4d0e0d08005222cf084",
+    },
+}
+
+
+class TestGoldenRun:
+    @pytest.mark.parametrize("spec", sorted(GOLDEN_RUNS))
+    def test_artifact_digests(self, tmp_path, spec):
+        run_pipeline(RunConfig(synth_spec=spec, detrend_orders=(1, 2), surrogates=16,
+                               seed=11, out_dir=str(tmp_path)))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_RUNS[spec] if name != "iaaft"}
+        iaaft_block = json.dumps(_manifest_iaaft(tmp_path), sort_keys=True)
+        digests["iaaft"] = hashlib.sha256(iaaft_block.encode()).hexdigest()
+        assert digests == GOLDEN_RUNS[spec]
+
+
+class TestBenchmarkTraceHooks:
+    def test_spans_of_an_analyze_run(self, tmp_path):
+        # bench/spans.py wraps these names where cli and mfdfa look them up;
+        # deleting one, or moving the ensemble's iaaft lookup out of cli, blinds it
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        spans.install(tracer, cli, mfdfa)
+        try:
+            code = main(["analyze", "--synth", "noise:n=2048,seed=1", "--surrogates", "2",
+                         "--out", str(tmp_path / "r")])
+        finally:
+            tracer.restore()
+        assert code == EXIT_OK
+        assert tracer.failures == []
+        metrics = spans.layer_metrics(tracer.spans)
+        assert metrics["surrogate.iaaft_calls"] == 2
+        assert metrics["surrogate.useful_member_ratio"] == 1.0
+        # the observed surface and one per member
+        assert metrics["mfdfa.surface_calls"] == 3
+        assert [s["name"] for s in tracer.spans].count("cli.run_pipeline") == 1
 
 
 ENSEMBLE_ARTIFACTS = [

@@ -9,6 +9,7 @@ from multifract.errors import (
     AllBoxesDegenerate,
     GridTooSmall,
     ScaleTooLarge,
+    SeriesTooShort,
     Underdetermined,
 )
 from multifract.mfdfa import (
@@ -59,8 +60,10 @@ class TestConfig:
 
     def test_scale_upper_bound_at_analysis_time(self):
         cfg = AnalysisConfig()
-        with pytest.raises(ScaleTooLarge):
+        with pytest.raises(ScaleTooLarge) as info:
             fluctuation_surface(Profile(np.arange(600.0) ** 1.3), cfg)
+        # a data fault, so the CLI exits 3 wherever the rule fires
+        assert isinstance(info.value, SeriesTooShort)
 
 
 class TestMakeProfile:

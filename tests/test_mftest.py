@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from multifract.cli import surrogate_spectra
 from multifract.errors import GridMismatch, RankDeficient
 from multifract.mfdfa import (
     AnalysisConfig,
@@ -25,7 +26,6 @@ from multifract.mftest import (
     verdict,
     width_test,
 )
-from multifract.surrogate import ensemble
 from multifract.synth import cascade_analytic_hq, gaussian_white_noise
 
 
@@ -309,8 +309,7 @@ class TestVerdict:
 def noise_ensemble_stats():
     cfg = AnalysisConfig()
     x = gaussian_white_noise(4096, 99)
-    ens = ensemble(x, 100, base_seed=17)
-    spectra = [analyze_returns(row, cfg) for row in ens.surrogates]
+    spectra = surrogate_spectra(x, 100, 17, cfg)
     return cfg, analyze_returns(x, cfg), ensemble_statistics(spectra)
 
 

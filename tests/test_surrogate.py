@@ -3,14 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from multifract.cli import ensemble_spectra
 from multifract.errors import ConstantSeries, LengthTooShort
-from multifract.surrogate import (
-    IaaftConfig,
-    derive_seed,
-    ensemble,
-    iaaft,
-    save_ensemble,
-)
+from multifract.surrogate import IaaftConfig, derive_seed, iaaft
 from multifract.synth import fbm, FbmSpec, gaussian_white_noise
 
 
@@ -102,26 +97,31 @@ class TestIaaftGolden:
         assert repr(result.spectrum_residual) == residual
 
 
+def ensemble_members(x, size, base_seed):
+    """The surrogates ensemble_spectra analyses: one IAAFT run per derived seed."""
+    return np.array([iaaft(x, IaaftConfig(rng_seed=derive_seed(base_seed, i))).values
+                     for i in range(size)])
+
+
 class TestEnsemble:
     def test_reproducible_bit_identical(self):
         x = gaussian_white_noise(512, 20)
-        a = ensemble(x, 3, base_seed=77)
-        b = ensemble(x, 3, base_seed=77)
-        assert a.surrogates.tobytes() == b.surrogates.tobytes()
-        assert a.seeds == b.seeds
+        a = ensemble_members(x, 3, base_seed=77)
+        b = ensemble_members(x, 3, base_seed=77)
+        assert a.tobytes() == b.tobytes()
 
     def test_value_preservation_sweep(self):
         x = gaussian_white_noise(512, 21)
-        ens = ensemble(x, 100, base_seed=3)
         sorted_x = np.sort(x)
-        assert all(np.array_equal(np.sort(row), sorted_x) for row in ens.surrogates)
+        assert all(np.array_equal(np.sort(row), sorted_x)
+                   for row in ensemble_members(x, 100, base_seed=3))
 
     def test_members_differ(self):
         x = gaussian_white_noise(256, 22)
-        ens = ensemble(x, 5, base_seed=4)
+        members = ensemble_members(x, 5, base_seed=4)
         for i in range(5):
             for j in range(i + 1, 5):
-                assert not np.array_equal(ens.surrogates[i], ens.surrogates[j])
+                assert not np.array_equal(members[i], members[j])
 
     def test_seed_derivation_distinct(self):
         seeds = {derive_seed(123, i) for i in range(10000)}
@@ -135,16 +135,6 @@ class TestEnsemble:
         path = fbm(FbmSpec(4096, 0.7, 31))
         increments = np.diff(np.concatenate([[0.0], path]))
         source_h2 = analyze_returns(increments, cfg).H[i2]
-        ens = ensemble(increments, 30, base_seed=5)
-        surrogate_h2 = np.mean([analyze_returns(row, cfg).H[i2] for row in ens.surrogates])
+        (spectra,), _ = ensemble_spectra(increments, 30, 5, [cfg])
+        surrogate_h2 = np.mean([spectrum.H[i2] for spectrum in spectra])
         assert abs(surrogate_h2 - source_h2) <= 0.05
-
-    def test_save_ensemble(self, tmp_path):
-        x = gaussian_white_noise(64, 30)
-        ens = ensemble(x, 3, base_seed=9)
-        out = tmp_path / "ens.tsv"
-        save_ensemble(ens, out)
-        table = np.loadtxt(out, skiprows=1)
-        assert table.shape == (3 * 64, 3)
-        manifest = (tmp_path / "ens.tsv.manifest.json").read_text()
-        assert '"base_seed": 9' in manifest
