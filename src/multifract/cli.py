@@ -8,7 +8,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import MultifractError, MalformedRow, NonMonotoneDates, NonPositivePrice, SeriesTooShort
+from .errors import DataError, DegenerateSeries, MultifractError
 from .ingest import load_price_csv, log_returns
 from .mfdfa import (
     AnalysisConfig,
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-_DATA_ERRORS = (MalformedRow, NonMonotoneDates, NonPositivePrice, SeriesTooShort, OSError)
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,9 @@ class RunConfig:
             raise ValueError("alpha level must lie strictly between 0 and 1")
         if not self.q_step > 0:
             raise ValueError("q step must be positive")
+        if len(default_q_grid(self.q_min, self.q_max, self.q_step)) < 4:
+            raise ValueError(f"q grid {self.q_min}..{self.q_max} step {self.q_step} has fewer "
+                             "than the 4 points the quadratic tau(q) fit needs")
         if not (self.s_min > 0 and self.s_max > 0 and self.s_count > 0):
             raise ValueError("s min, s max and s count must be positive")
         scales = len(default_scale_grid(self.s_min, self.s_max, self.s_count))
@@ -77,12 +78,11 @@ class RunConfig:
                              f"distinct integers, fewer than s count {self.s_count}")
         if not self.detrend_orders:
             raise ValueError("at least one detrend order required")
-        if any(order not in (1, 2) for order in self.detrend_orders):
-            raise ValueError("detrend orders must be a subset of {1, 2}")
         if not (self.input_path or self.synth_spec):
             raise ValueError("either an input path or a synth spec is required")
+        # AnalysisConfig rejects an order outside {1, 2} and a q grid without 0 or 2
         for order in self.detrend_orders:
-            self.analysis_config(order)  # rejects a q grid without 0 or 2
+            self.analysis_config(order)
 
     def analysis_config(self, order):
         return AnalysisConfig(
@@ -128,10 +128,11 @@ def synth_series(spec):
 def load_returns(cfg):
     if cfg.synth_spec:
         values, label = synth_series(cfg.synth_spec)
-        values = np.asarray(values, dtype=float)
     else:
         prices = load_price_csv(cfg.input_path, cfg.date_col, cfg.value_col)
         values, label = log_returns(prices).values, prices.label
+    if not values.any():
+        raise DegenerateSeries(f"{label}: every return is zero, nothing to analyse")
     return values, label
 
 
@@ -264,12 +265,10 @@ def run_pipeline(cfg):
                           stats.tau_mean, stats.tau_std,
                           stats.f_mean, stats.f_std])
             # raw samples, not binned counts; binning is the plotter's job
-            np.savetxt(out / f"delta_alpha_samples_{tag}.tsv",
-                       stats.delta_alpha_samples, fmt="%.17g",
-                       header="delta_alpha", comments="")
-            np.savetxt(out / f"delta_f_samples_{tag}.tsv",
-                       stats.delta_f_samples, fmt="%.17g",
-                       header="delta_f", comments="")
+            _write_table(out / f"delta_alpha_samples_{tag}.tsv", ["delta_alpha"],
+                         [stats.delta_alpha_samples])
+            _write_table(out / f"delta_f_samples_{tag}.tsv", ["delta_f"],
+                         [stats.delta_f_samples])
             (out / f"report_{tag}.json").write_text(
                 json.dumps(report.to_dict(), indent=2, sort_keys=True))
             (out / f"report_{tag}.txt").write_text(format_report(report) + "\n")
@@ -296,7 +295,7 @@ def run_pipeline(cfg):
 def compare_orders(report_a, report_b):
     """Side-by-side comparison of two detrend orders on the same input."""
     if report_a["label"] != report_b["label"]:
-        raise MultifractError("reports come from different inputs")
+        raise DataError("reports come from different inputs")
     rows = []
     for key, path in [
         ("H2", ("hurst", "H2")),
@@ -331,41 +330,37 @@ def format_comparison(comparison):
     return "\n".join(lines)
 
 
-def _env_default(flag, fallback, cast=str):
-    name = ENV_PREFIX + flag.upper().replace("-", "_")
+def _add_config_flag(parser, flag, cast=str, field=None):
+    """Add --<flag>, cast into the RunConfig field named by field or else by
+    the flag; MULTIFRACT_<FLAG> in the environment replaces its default."""
+    field = field or flag.replace("-", "_")
+    metavar = flag.upper().replace("-", "_")
+    name = ENV_PREFIX + metavar
     raw = os.environ.get(name)
     try:
-        return fallback if raw is None else cast(raw)
+        default = getattr(RunConfig, field) if raw is None else cast(raw)
     except ValueError:
         raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
+    parser.add_argument(f"--{flag}", dest=field, metavar=metavar, type=cast, default=default)
 
 
 def _add_grid_flags(parser):
-    parser.add_argument("--detrend-order", action="append", type=int,
-                        choices=(1, 2), default=None,
+    parser.add_argument("--detrend-order", action="append", type=int, metavar="{1,2}",
                         help="polynomial detrend order; repeatable")
-    parser.add_argument("--q-min", type=float,
-                        default=_env_default("q-min", RunConfig.q_min, float))
-    parser.add_argument("--q-max", type=float,
-                        default=_env_default("q-max", RunConfig.q_max, float))
-    parser.add_argument("--q-step", type=float,
-                        default=_env_default("q-step", RunConfig.q_step, float))
-    parser.add_argument("--s-min", type=int,
-                        default=_env_default("s-min", RunConfig.s_min, int))
-    parser.add_argument("--s-max", type=int,
-                        default=_env_default("s-max", RunConfig.s_max, int))
-    parser.add_argument("--s-count", type=int,
-                        default=_env_default("s-count", RunConfig.s_count, int))
+    _add_config_flag(parser, "q-min", float)
+    _add_config_flag(parser, "q-max", float)
+    _add_config_flag(parser, "q-step", float)
+    _add_config_flag(parser, "s-min", int)
+    _add_config_flag(parser, "s-max", int)
+    _add_config_flag(parser, "s-count", int)
 
 
 def _add_input_flags(parser):
-    parser.add_argument("--input", default=_env_default("input", None))
-    parser.add_argument("--synth", default=None,
+    _add_config_flag(parser, "input", field="input_path")
+    parser.add_argument("--synth", dest="synth_spec", metavar="SYNTH",
                         help="generator spec, e.g. cascade:levels=16,p=0.3")
-    parser.add_argument("--date-col",
-                        default=_env_default("date-col", RunConfig.date_col))
-    parser.add_argument("--value-col",
-                        default=_env_default("value-col", RunConfig.value_col))
+    _add_config_flag(parser, "date-col")
+    _add_config_flag(parser, "value-col")
 
 
 def build_parser():
@@ -379,20 +374,16 @@ def build_parser():
     analyze = sub.add_parser("analyze", help="full pipeline to verdict report")
     _add_input_flags(analyze)
     _add_grid_flags(analyze)
-    analyze.add_argument("--surrogates", type=int,
-                         default=_env_default("surrogates", RunConfig.surrogates, int))
-    analyze.add_argument("--seed", type=int,
-                         default=_env_default("seed", RunConfig.seed, int))
-    analyze.add_argument("--alpha-level", type=float,
-                         default=_env_default("alpha-level", RunConfig.alpha_level, float))
-    analyze.add_argument("--out", default=_env_default("out", RunConfig.out_dir))
-    analyze.add_argument("--workers", type=int,
-                         default=_env_default("workers", RunConfig.workers, int))
+    _add_config_flag(analyze, "surrogates", int)
+    _add_config_flag(analyze, "seed", int)
+    _add_config_flag(analyze, "alpha-level", float)
+    _add_config_flag(analyze, "out", field="out_dir")
+    _add_config_flag(analyze, "workers", int)
 
     spectrum = sub.add_parser("spectrum", help="MF-DFA only, no surrogates")
     _add_input_flags(spectrum)
     _add_grid_flags(spectrum)
-    spectrum.add_argument("--out", default=_env_default("out", RunConfig.out_dir))
+    _add_config_flag(spectrum, "out", field="out_dir")
 
     synth = sub.add_parser("synth", help="emit a generator series as CSV")
     synth.add_argument("--kind", required=True,
@@ -414,21 +405,11 @@ def build_parser():
 
 
 def _run_config_from_args(args):
-    # spectrum has no ensemble flags; RunConfig's defaults stand in for them
-    ensemble_flags = {key: getattr(args, key)
-                      for key in ("surrogates", "seed", "alpha_level", "workers")
-                      if hasattr(args, key)}
-    return RunConfig(
-        input_path=args.input,
-        synth_spec=args.synth,
-        date_col=args.date_col,
-        value_col=args.value_col,
-        detrend_orders=tuple(sorted(set(args.detrend_order or [1]))),
-        q_min=args.q_min, q_max=args.q_max, q_step=args.q_step,
-        s_min=args.s_min, s_max=args.s_max, s_count=args.s_count,
-        out_dir=args.out,
-        **ensemble_flags,
-    )
+    # each flag's dest is its RunConfig field; spectrum has no ensemble
+    # flags, so RunConfig's defaults stand in for them
+    names = {field.name for field in fields(RunConfig)}
+    given = {key: value for key, value in vars(args).items() if key in names}
+    return RunConfig(detrend_orders=tuple(sorted(set(args.detrend_order or [1]))), **given)
 
 
 def _cmd_analyze(args):
@@ -481,11 +462,10 @@ def _cmd_synth(args):
 def _cmd_compare(args):
     run_dir = Path(args.run_dir)
     paths = [run_dir / "report_l1.json", run_dir / "report_l2.json"]
-    for path in paths:
-        if not path.exists():
-            raise FileNotFoundError(f"missing {path}")
-    report_a, report_b = (json.loads(p.read_text()) for p in paths)
-    comparison = compare_orders(report_a, report_b)
+    try:
+        comparison = compare_orders(*(json.loads(p.read_text()) for p in paths))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{run_dir}: malformed report ({type(exc).__name__}: {exc})") from None
     text = format_comparison(comparison)
     print(text)
     if args.out:
@@ -512,7 +492,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MultifractError as exc:

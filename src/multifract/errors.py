@@ -5,31 +5,35 @@ class MultifractError(Exception):
     """Base class for all package-specific errors."""
 
 
+class DataError(MultifractError):
+    """A fault in the input data; the CLI exits 3."""
+
+
 # --- ingest ---
 
-class MalformedRow(MultifractError):
+class MalformedRow(DataError):
     def __init__(self, line_number, message="cannot parse row"):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
 
 
-class NonPositivePrice(MultifractError):
+class NonPositivePrice(DataError):
     def __init__(self, line_number):
         self.line_number = line_number
         super().__init__(f"line {line_number}: price must be strictly positive")
 
 
-class NonMonotoneDates(MultifractError):
+class NonMonotoneDates(DataError):
     def __init__(self, line_number):
         self.line_number = line_number
         super().__init__(f"line {line_number}: dates must be strictly increasing")
 
 
-class SeriesTooShort(MultifractError):
+class SeriesTooShort(DataError):
     pass
 
 
-class DegenerateSeries(MultifractError):
+class DegenerateSeries(DataError):
     pass
 
 

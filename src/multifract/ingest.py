@@ -9,6 +9,7 @@ from datetime import date, datetime
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateSeries,
     MalformedRow,
     NonMonotoneDates,
@@ -33,14 +34,16 @@ class PriceSeries:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if len(values) < 2:
-            raise SeriesTooShort("need at least 2 prices")
+            raise SeriesTooShort(f"{self.label}: only {len(values)} usable rows")
         if len(self.dates) != len(values):
             raise ValueError("dates and values must have equal length")
-        if not np.all(values > 0):
-            raise ValueError("prices must be strictly positive")
+        bad = np.flatnonzero(~(values > 0))
+        if len(bad):
+            raise DataError(f"price {bad[0]} is {values[bad[0]]}, not strictly positive")
         for a, b in zip(self.dates, self.dates[1:]):
             if b <= a:
-                raise ValueError("dates must be strictly increasing")
+                # the dates before b increase, so a is the first of its value
+                raise DataError(f"date {self.dates.index(a) + 1} ({b}) does not follow {a}")
 
     def __len__(self):
         return len(self.values)
@@ -52,15 +55,9 @@ class ReturnSeries:
 
     values: np.ndarray
     label: str = ""
-    source_length: int = 0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.source_length and len(values) != self.source_length - 1:
-            raise ValueError("length must equal source_length - 1")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("returns must be finite")
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     def __len__(self):
         return len(self.values)
@@ -166,17 +163,12 @@ def load_price_csv(path, date_col, value_col, label=None):
     except UnicodeDecodeError as exc:
         raise MalformedRow(_undecodable_line(path), f"not UTF-8: {exc.reason}") from None
 
-    if len(values) < 2:
-        raise SeriesTooShort(f"{path}: only {len(values)} usable rows")
     return PriceSeries(tuple(dates), np.array(values), label or str(path))
 
 
 def log_returns(prices):
     """r[t] = ln P[t+1] - ln P[t]."""
-    if len(prices) < 2:
-        raise SeriesTooShort("need at least 2 prices for returns")
-    values = np.diff(np.log(prices.values))
-    return ReturnSeries(values, prices.label, source_length=len(prices))
+    return ReturnSeries(np.diff(np.log(prices.values)), prices.label)
 
 
 def display_transform(returns):

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     AllBoxesDegenerate,
+    DataError,
     GridTooSmall,
     InsufficientScales,
     ScaleTooLarge,
@@ -110,7 +111,7 @@ def make_profile(returns):
         raise SeriesTooShort("empty return series")
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
-        raise ValueError(f"return {bad[0]} is {values[bad[0]]}, not a finite number")
+        raise DataError(f"return {bad[0]} is {values[bad[0]]}, not a finite number")
     return Profile(np.cumsum(values))
 
 

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,11 @@ ANALYZE_ARGS = [
 ]
 
 
+REPORT = {"label": "x", "detrend_order": 1, "verdict": "none",
+          "hurst": {"H2": 0.5}, "width_test": {"delta_alpha": 0.1, "p_value": 0.5},
+          "spectrum_difference_test": {"delta_f": 0.1, "p_value": 0.5}}
+
+
 class TestPipeline:
     def test_analyze_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -142,13 +149,9 @@ class TestPipeline:
         assert main(["compare", "--run-dir", str(tmp_path)]) == EXIT_DATA
 
     def test_compare_rejects_mixed_labels(self):
-        a = {"label": "x", "detrend_order": 1, "verdict": "none",
-             "hurst": {"H2": 0.5}, "width_test": {"delta_alpha": 0.1, "p_value": 0.5},
-             "spectrum_difference_test": {"delta_f": 0.1, "p_value": 0.5}}
-        b = dict(a, label="y")
-        from multifract.errors import MultifractError
-        with pytest.raises(MultifractError):
-            compare_orders(a, b)
+        from multifract.errors import DataError
+        with pytest.raises(DataError):
+            compare_orders(REPORT, dict(REPORT, label="y"))
 
     def test_incomplete_marker_left_on_failure(self, tmp_path):
         out = tmp_path / "run"
@@ -281,6 +284,44 @@ class TestExitCodes:
         assert main([command, "--synth", "noise:n=4096", "--q-min", q_range[0],
                      "--q-max", q_range[1], "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_bad_detrend_order_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(ANALYZE_ARGS + ["--detrend-order", "3", "--out", str(out)]) == EXIT_CONFIG
+        assert "detrend_order must be 1 or 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("step", ["1", "2"])
+    def test_q_grid_short_of_quadratic_fit_rejected_before_output(self, tmp_path, capsys,
+                                                                  command, step):
+        out = tmp_path / "r"
+        extra = ["--surrogates", "4"] if command == "analyze" else []
+        assert main([command, "--synth", "noise:n=4096", "--q-min", "0", "--q-max", "2",
+                     "--q-step", step, *extra, "--out", str(out)]) == EXIT_CONFIG
+        assert "the 4 points the quadratic tau(q) fit needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["analyze", "--surrogates", "4"], ["spectrum"]])
+    def test_constant_prices_are_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "flat.csv"
+        days = (date(2000, 1, 1) + timedelta(days=i) for i in range(3000))
+        path.write_text("date,value\n" + "".join(f"{day},100\n" for day in days))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(command + ["--input", str(path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_DATA and caught == []
+        assert "every return is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("texts", [
+        ("{}", "{}"), ("[1]", "[1]"), ('{"label": "x"', '{"label": "x"'),
+        (json.dumps(REPORT), json.dumps(dict(REPORT, label="y"))),
+    ], ids=["empty_object", "list", "truncated", "mixed_labels"])
+    def test_malformed_compare_input_is_data_error(self, tmp_path, capsys, texts):
+        for order, text in zip((1, 2), texts):
+            (tmp_path / f"report_l{order}.json").write_text(text)
+        assert main(["compare", "--run-dir", str(tmp_path)]) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
 
     def test_series_short_of_scale_grid_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "prices.csv"

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multifract.errors import (
+    DataError,
     DegenerateSeries,
     MalformedRow,
     NonMonotoneDates,
@@ -239,7 +240,6 @@ class TestLogReturns:
     def test_constant_prices(self):
         returns = log_returns(self.make([5, 5, 5, 5]))
         np.testing.assert_allclose(returns.values, [0, 0, 0])
-        assert returns.source_length == 4
 
     def test_direct_formula(self):
         returns = log_returns(self.make([100, 110]))
@@ -255,6 +255,18 @@ class TestLogReturns:
         returns = log_returns(prices)
         rebuilt = np.log(prices.values[0]) + np.concatenate([[0.0], np.cumsum(returns.values)])
         np.testing.assert_allclose(rebuilt, np.log(prices.values), rtol=1e-12)
+
+
+class TestPriceSeries:
+    @pytest.mark.parametrize("values, days, match", [
+        ([1.0, 0.0, 2.0], [0, 1, 2], "price 1 is 0.0"),
+        ([1.0, 2.0, 3.0], [0, 1, 1], "date 2 "),
+    ], ids=["non_positive_price", "repeated_date"])
+    def test_faults_are_data_errors(self, values, days, match):
+        # the loader reports these faults by line, PriceSeries by position
+        dates = tuple(date(2020, 1, 1 + day) for day in days)
+        with pytest.raises(DataError, match=match):
+            PriceSeries(dates, np.array(values))
 
 
 class TestDisplayTransform:

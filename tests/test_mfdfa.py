@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from multifract.errors import (
     AllBoxesDegenerate,
+    DataError,
     GridTooSmall,
     ScaleTooLarge,
     SeriesTooShort,
@@ -84,7 +85,7 @@ class TestMakeProfile:
     def test_non_finite_return_rejected(self, bad):
         returns = np.ones(10)
         returns[[3, 7]] = bad
-        with pytest.raises(ValueError, match="return 3 "):
+        with pytest.raises(DataError, match="return 3 "):
             make_profile(returns)
 
 
