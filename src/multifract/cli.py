@@ -92,37 +92,42 @@ class RunConfig:
         )
 
 
+# each --synth kind's keys, as (cast, default); the names are the
+# parameters of the kind's generator, and an unseeded cascade is unshuffled
+SYNTH_KEYS = {
+    "cascade": {"levels": (int, 16), "p": (float, 0.3), "seed": (int, None)},
+    "fbm": {"n": (int, 16384), "hurst": (float, 0.5), "seed": (int, 0)},
+    "noise": {"n": (int, 16384), "seed": (int, 0)},
+}
+
+
 def parse_synth_spec(spec):
-    """'kind:key=value,...' -> (kind, params). Kinds: cascade, fbm, noise."""
-    kind, _, rest = spec.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            params[key.strip()] = value.strip()
-    return kind.strip(), params
+    """'kind:key=value,...' -> (kind, params), every key of the kind cast
+    and defaulted from SYNTH_KEYS."""
+    kind, _, rest = (part.strip() for part in spec.partition(":"))
+    if kind not in SYNTH_KEYS:
+        raise ValueError(f"unknown synth kind {kind!r}")
+    keys = SYNTH_KEYS[kind]
+    params = {key: default for key, (_, default) in keys.items()}
+    for item in rest.split(",") if rest else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key not in keys:
+            raise ValueError(f"synth kind {kind!r} takes no key {key!r}; "
+                             f"its keys are {', '.join(keys)}")
+        params[key] = keys[key][0](value)
+    return kind, params
 
 
 def synth_series(spec):
     """Return series named by a synth spec string (used as returns input)."""
     kind, params = parse_synth_spec(spec)
-    seed = int(params.get("seed", 0))
     if kind == "cascade":
-        # unseeded, the cascade is the deterministic one
-        shuffle_seed = params.get("shuffle_seed", params.get("seed"))
-        masses = binomial_cascade(CascadeSpec(
-            levels=int(params.get("levels", 16)),
-            p=float(params.get("p", 0.3)),
-            seed=None if shuffle_seed is None else int(shuffle_seed),
-        ))
-        return masses, f"cascade(levels={params.get('levels', 16)},p={params.get('p', 0.3)})"
+        masses = binomial_cascade(CascadeSpec(**params))
+        return masses, f"cascade(levels={params['levels']},p={params['p']})"
     if kind == "fbm":
-        path = fbm(FbmSpec(n=int(params.get("n", 16384)),
-                           hurst=float(params.get("hurst", 0.5)), seed=seed))
-        return np.diff(np.concatenate([[0.0], path])), f"fbm(H={params.get('hurst', 0.5)})"
-    if kind == "noise":
-        return gaussian_white_noise(int(params.get("n", 16384)), seed), "gaussian-noise"
-    raise ValueError(f"unknown synth kind {kind!r}")
+        path = fbm(FbmSpec(**params))
+        return np.diff(np.concatenate([[0.0], path])), f"fbm(H={params['hurst']})"
+    return gaussian_white_noise(**params), "gaussian-noise"
 
 
 def load_returns(cfg):
@@ -145,36 +150,23 @@ def _member_spectra(values, acfgs, seed):
     return [analyze_returns(surrogate.values, acfg) for acfg in acfgs], diagnostics
 
 
-_worker_member = None
-
-
-def _init_worker(values, acfgs):
-    # runs once per pool process, so the series is not pickled into every job
-    global _worker_member
-    _worker_member = partial(_member_spectra, values, acfgs)
-
-
-def _worker_spectra(seed):
-    return _worker_member(seed)
-
-
 def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     """MF-DFA spectra of a deterministic surrogate ensemble, one list per
     config in acfgs, and each member's IAAFT diagnostics: each member is
     generated once and analysed under every config.
 
     Per-member seeds derive from (base_seed, index), so the result is
-    independent of worker count and member evaluation order.
+    independent of worker count and member evaluation order. A pool
+    receives the series once per chunk of 8 members.
     """
     acfgs = tuple(acfgs)
     seeds = [derive_seed(base_seed, i) for i in range(size)]
-    shared = (values, acfgs)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=shared) as pool:
-            members = list(pool.map(_worker_spectra, seeds, chunksize=8))
+    member = partial(_member_spectra, values, acfgs)
+    if workers == 1:
+        members = list(map(member, seeds))
     else:
-        members = [_member_spectra(*shared, seed) for seed in seeds]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            members = list(pool.map(member, seeds, chunksize=8))
     spectra = [[member[k] for member, _ in members] for k in range(len(acfgs))]
     return spectra, [diagnostics for _, diagnostics in members]
 
@@ -223,17 +215,16 @@ def export_spectrum(spec, path):
 def run_pipeline(cfg):
     """Full analysis per detrend order; writes all artifacts under the
     output directory and returns the per-order TestReports."""
+    # loaded first, so a fault in the input leaves no run directory behind
+    t0 = time.perf_counter()
+    values, label = load_returns(cfg)
+    timings = {"load": time.perf_counter() - t0}
+    reports = {}
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "INCOMPLETE"
     marker.write_text("run in progress\n")
-    timings = {}
-    reports = {}
     try:
-        t0 = time.perf_counter()
-        values, label = load_returns(cfg)
-        timings["load"] = time.perf_counter() - t0
-
         acfgs = [cfg.analysis_config(order) for order in cfg.detrend_orders]
         profile = make_profile(values)
         observed = []
@@ -297,23 +288,19 @@ def compare_orders(report_a, report_b):
     if report_a["label"] != report_b["label"]:
         raise DataError("reports come from different inputs")
     rows = []
-    for key, path in [
-        ("H2", ("hurst", "H2")),
-        ("delta_alpha", ("width_test", "delta_alpha")),
-        ("p_value_width", ("width_test", "p_value")),
-        ("delta_f", ("spectrum_difference_test", "delta_f")),
-        ("p_value_f", ("spectrum_difference_test", "p_value")),
-    ]:
-        a = report_a[path[0]][path[1]]
-        b = report_b[path[0]][path[1]]
+    for key, block, name in [("H2", "hurst", "H2"),
+                             ("delta_alpha", "width_test", "delta_alpha"),
+                             ("p_value_width", "width_test", "p_value"),
+                             ("delta_f", "spectrum_difference_test", "delta_f"),
+                             ("p_value_f", "spectrum_difference_test", "p_value")]:
+        a, b = report_a[block][name], report_b[block][name]
         rows.append((key, a, b, abs(a - b)))
-    disagreement = report_a["verdict"] != report_b["verdict"]
     return {
         "label": report_a["label"],
         "orders": (report_a["detrend_order"], report_b["detrend_order"]),
         "rows": rows,
         "verdicts": (report_a["verdict"], report_b["verdict"]),
-        "verdict_disagreement": disagreement,
+        "verdict_disagreement": report_a["verdict"] != report_b["verdict"],
     }
 
 
@@ -386,13 +373,12 @@ def build_parser():
     _add_config_flag(spectrum, "out", field="out_dir")
 
     synth = sub.add_parser("synth", help="emit a generator series as CSV")
-    synth.add_argument("--kind", required=True,
-                       choices=("cascade", "fbm", "noise"))
-    synth.add_argument("--levels", type=int, default=16)
-    synth.add_argument("--p", type=float, default=0.3)
-    synth.add_argument("--n", type=int, default=16384)
-    synth.add_argument("--hurst", type=float, default=0.5)
-    synth.add_argument("--seed", type=int, default=None,
+    synth.add_argument("--kind", required=True, choices=SYNTH_KEYS)
+    synth.add_argument("--levels", type=int)
+    synth.add_argument("--p", type=float)
+    synth.add_argument("--n", type=int)
+    synth.add_argument("--hurst", type=float)
+    synth.add_argument("--seed", type=int,
                        help="generator seed; fbm and noise use 0 when unset, "
                             "cascade is then unshuffled")
     synth.add_argument("--out", required=True, help="output CSV path")
@@ -439,9 +425,10 @@ def _cmd_spectrum(args):
 
 
 def _cmd_synth(args):
-    seed = "" if args.seed is None else f",seed={args.seed}"
-    values, _ = synth_series(f"{args.kind}:levels={args.levels},p={args.p},n={args.n},"
-                             f"hurst={args.hurst}{seed}")
+    # every flag given, so one the kind does not take is a config error
+    given = [f"{key}={getattr(args, key)}" for key in ("levels", "p", "n", "hurst", "seed")
+             if getattr(args, key) is not None]
+    values, _ = synth_series(f"{args.kind}:{','.join(given)}")
     # synthesized calendar so the file round-trips through the CSV loader;
     # prices are exp of the cumulative series, so log-returns recover it
     start = date(2000, 1, 1)
@@ -474,12 +461,8 @@ def _cmd_compare(args):
 
 
 def main(argv=None):
-    handlers = {
-        "analyze": _cmd_analyze,
-        "spectrum": _cmd_spectrum,
-        "synth": _cmd_synth,
-        "compare": _cmd_compare,
-    }
+    handlers = {"analyze": _cmd_analyze, "spectrum": _cmd_spectrum,
+                "synth": _cmd_synth, "compare": _cmd_compare}
     try:
         # building the parser casts the MULTIFRACT_* environment defaults
         parser = build_parser()

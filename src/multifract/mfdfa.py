@@ -27,8 +27,10 @@ DEGENERACY_FLOOR_FACTOR = 1e-12
 
 
 def default_q_grid(q_min=-5.0, q_max=5.0, q_step=0.25):
-    n = int(round((q_max - q_min) / q_step)) + 1
-    return np.linspace(q_min, q_max, n)
+    steps = (q_max - q_min) / q_step
+    if not np.isfinite(steps):
+        raise ValueError(f"q bounds {q_min}..{q_max} step {q_step} give no finite grid")
+    return np.linspace(q_min, q_max, int(round(steps)) + 1)
 
 
 def default_scale_grid(s_min=20, s_max=316, count=30):

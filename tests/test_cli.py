@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -33,12 +34,12 @@ from multifract.synth import CascadeSpec, binomial_cascade
 
 class TestSynthSpecParsing:
     def test_kind_only(self):
-        assert parse_synth_spec("noise") == ("noise", {})
+        assert parse_synth_spec("noise") == ("noise", {"n": 16384, "seed": 0})
 
     def test_params(self):
-        kind, params = parse_synth_spec("cascade:levels=12,p=0.3,shuffle_seed=1")
+        kind, params = parse_synth_spec("cascade:levels=12,p=0.3,seed=1")
         assert kind == "cascade"
-        assert params == {"levels": "12", "p": "0.3", "shuffle_seed": "1"}
+        assert params == {"levels": 12, "p": 0.3, "seed": 1}
 
     def test_series_kinds(self):
         cascade, _ = synth_series("cascade:levels=10,p=0.3")
@@ -194,6 +195,13 @@ class TestSynthCommand:
         np.testing.assert_allclose(recovered("--seed", "4"), seeded, atol=1e-12)
         assert not np.allclose(seeded, unseeded)
 
+    def test_flag_the_kind_does_not_take_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "noise.csv"
+        assert main(["synth", "--kind", "noise", "--hurst", "0.7",
+                     "--out", str(path)]) == EXIT_CONFIG
+        assert "takes no key 'hurst'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_analyze_reads_synth_file(self, tmp_path):
         path = tmp_path / "prices.csv"
         main(["synth", "--kind", "noise", "--n", "2048", "--seed", "4",
@@ -217,9 +225,40 @@ class TestSpectrumCommand:
 
 
 class TestExitCodes:
-    def test_unknown_synth_kind(self, tmp_path):
-        assert main(["analyze", "--synth", "nope:n=10",
-                     "--out", str(tmp_path)]) == EXIT_CONFIG
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("spec", [
+        "nope:n=10", "noise:nn=4096", "noise:n=abc", "cascade:levels=8,hurst=0.5",
+        "cascade:shuffle_seed=1", "cascade:levels=12,p=0.7", "fbm:n=1000",
+    ])
+    def test_unknown_synth_kind(self, tmp_path, capsys, command, spec):
+        # a bad kind, key, value or range is found before any output is made
+        out = tmp_path / "r"
+        assert main([command, "--synth", spec, "--out", str(out)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("flags, env", [
+        (["--q-max=inf"], {}), (["--q-min=-inf"], {}), (["--q-max=nan"], {}),
+        ([], {"MULTIFRACT_Q_MAX": "inf"}),
+    ], ids=["q_max_inf", "q_min_inf", "q_max_nan", "env_q_max_inf"])
+    def test_non_finite_q_bounds_rejected_before_output(self, tmp_path, capsys, monkeypatch,
+                                                        command, flags, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "r"
+        assert main([command, "--synth", "noise:n=4096", *flags,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: q bounds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_csv_row_leaves_no_run_directory(self, tmp_path, capsys):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,value\n2020-01-01,100\n2020-01-02,abc\n")
+        out = tmp_path / "r"
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == EXIT_DATA
+        assert "data error: line 3:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_file(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "missing.csv"),
@@ -544,4 +583,41 @@ class TestLoaderFuzz:
         path.write_bytes(data)
         code = main(["spectrum", "--input", str(path), "--out", str(tmp_path / "r")])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        capsys.readouterr()
+
+
+# values per key, sizes bounded (levels <= 12, n <= 4096) so no draw allocates much
+SYNTH_VALUES = {
+    "levels": ["0", "1", "8", "12", "-3", "1.5", "abc", ""],
+    "n": ["0", "1", "1000", "1024", "4096", "-1", "abc", ""],
+    "p": ["0", "0.3", "0.5", "0.7", "nan", "inf", "abc"],
+    "hurst": ["0", "0.5", "0.7", "1", "nan", "abc"],
+    "seed": ["0", "1", "7", "-1", "1.5", "abc", ""],
+    "nn": ["4096"],
+    "": ["1"],
+}
+
+
+@st.composite
+def synth_specs(draw):
+    """--synth specs over known and unknown kinds, keys and values. Each
+    starts with a bounded size key, since the defaults (2^16 cascade cells,
+    16,384 points) are larger than the bound."""
+    kind = draw(st.sampled_from(["cascade", "fbm", "noise", "nope", ""]))
+    size = "levels" if kind == "cascade" else "n"
+    keys = [size] + draw(st.lists(st.sampled_from(sorted(SYNTH_VALUES)), max_size=3))
+    return f"{kind}:" + ",".join(f"{key}={draw(st.sampled_from(SYNTH_VALUES[key]))}"
+                                 for key in keys)
+
+
+class TestSynthSpecFuzz:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=synth_specs())
+    def test_every_spec_maps_to_an_exit_code(self, tmp_path, capsys, spec):
+        out = tmp_path / "r"
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(["spectrum", "--synth", spec, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        assert code != EXIT_CONFIG or not out.exists()
         capsys.readouterr()
