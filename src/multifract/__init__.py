@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .ingest import PriceSeries, ReturnSeries, display_transform, load_price_csv, log_returns
+from .ingest import PriceSeries, ReturnSeries, load_price_csv, log_returns
 from .mfdfa import (
     AnalysisConfig,
     FluctuationSurface,
@@ -19,7 +19,6 @@ from .mfdfa import (
     make_profile,
     mass_exponents,
     overall_fluctuation,
-    partition_segments,
     singularity_spectrum,
     spectrum_from_surface,
 )

@@ -65,22 +65,11 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if not 0 < self.alpha_level < 1:
             raise ValueError("alpha level must lie strictly between 0 and 1")
-        if not self.q_step > 0:
-            raise ValueError("q step must be positive")
-        if len(default_q_grid(self.q_min, self.q_max, self.q_step)) < 4:
-            raise ValueError(f"q grid {self.q_min}..{self.q_max} step {self.q_step} has fewer "
-                             "than the 4 points the quadratic tau(q) fit needs")
-        if not (self.s_min > 0 and self.s_max > 0 and self.s_count > 0):
-            raise ValueError("s min, s max and s count must be positive")
-        scales = len(default_scale_grid(self.s_min, self.s_max, self.s_count))
-        if scales < self.s_count:
-            raise ValueError(f"scales {self.s_min}..{self.s_max} round to {scales} "
-                             f"distinct integers, fewer than s count {self.s_count}")
         if not self.detrend_orders:
             raise ValueError("at least one detrend order required")
         if not (self.input_path or self.synth_spec):
             raise ValueError("either an input path or a synth spec is required")
-        # AnalysisConfig rejects an order outside {1, 2} and a q grid without 0 or 2
+        # the grid builders and AnalysisConfig hold the rules on q, s and order
         for order in self.detrend_orders:
             self.analysis_config(order)
 
@@ -114,7 +103,12 @@ def parse_synth_spec(spec):
         if key not in keys:
             raise ValueError(f"synth kind {kind!r} takes no key {key!r}; "
                              f"its keys are {', '.join(keys)}")
-        params[key] = keys[key][0](value)
+        cast = keys[key][0]
+        try:
+            params[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"synth spec {spec!r}: {key}={value!r} is not a valid "
+                             f"{cast.__name__}") from None
     return kind, params
 
 
@@ -159,7 +153,6 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     independent of worker count and member evaluation order. A pool
     receives the series once per chunk of 8 members.
     """
-    acfgs = tuple(acfgs)
     seeds = [derive_seed(base_seed, i) for i in range(size)]
     member = partial(_member_spectra, values, acfgs)
     if workers == 1:
@@ -199,17 +192,28 @@ def _fingerprint(cfg):
     return hashlib.sha256(cfg.synth_spec.encode()).hexdigest()
 
 
-def export_surface(surface, path):
-    n_q, n_s = surface.F.shape
-    q = np.repeat(surface.q_grid, n_s)
-    s = np.tile(surface.scale_grid, n_q)
-    _write_table(path, ["q", "s", "F", "excluded"],
-                 [q, s, surface.F.ravel(), surface.excluded.ravel()])
-
-
-def export_spectrum(spec, path):
-    _write_table(path, ["q", "H", "stderr", "tau", "alpha", "f"],
-                 [spec.q_grid, spec.H, spec.H_stderr, spec.tau, spec.alpha, spec.f])
+def analyze_observed(values, acfgs, out, timings):
+    """MF-DFA of the series under each config, timed as mfdfa_l<order> in
+    timings. Writes each order's surface_l*.tsv and spectrum_l*.tsv under
+    out, made only once every surface is computed; returns the spectra."""
+    profile = make_profile(values)
+    observed = []
+    for acfg in acfgs:
+        t0 = time.perf_counter()
+        surface = fluctuation_surface(profile, acfg)
+        observed.append((surface, spectrum_from_surface(surface)))
+        timings[f"mfdfa_l{acfg.detrend_order}"] = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
+    for acfg, (surface, spec) in zip(acfgs, observed):
+        n_q, n_s = surface.F.shape
+        q = np.repeat(surface.q_grid, n_s)
+        s = np.tile(surface.scale_grid, n_q)
+        _write_table(out / f"surface_l{acfg.detrend_order}.tsv", ["q", "s", "F", "excluded"],
+                     [q, s, surface.F.ravel(), surface.excluded.ravel()])
+        _write_table(out / f"spectrum_l{acfg.detrend_order}.tsv",
+                     ["q", "H", "stderr", "tau", "alpha", "f"],
+                     [spec.q_grid, spec.H, spec.H_stderr, spec.tau, spec.alpha, spec.f])
+    return [spec for _, spec in observed]
 
 
 def run_pipeline(cfg):
@@ -226,29 +230,20 @@ def run_pipeline(cfg):
     marker.write_text("run in progress\n")
     try:
         acfgs = [cfg.analysis_config(order) for order in cfg.detrend_orders]
-        profile = make_profile(values)
-        observed = []
-        for acfg in acfgs:
-            t0 = time.perf_counter()
-            surface = fluctuation_surface(profile, acfg)
-            observed.append((surface, spectrum_from_surface(surface)))
-            timings[f"mfdfa_l{acfg.detrend_order}"] = time.perf_counter() - t0
+        observed = analyze_observed(values, acfgs, out, timings)
 
         t0 = time.perf_counter()
         ensembles, diagnostics = ensemble_spectra(values, cfg.surrogates, cfg.seed,
                                                   acfgs, workers=cfg.workers)
         timings["ensemble"] = time.perf_counter() - t0
 
-        for order, (surface, spectrum), spectra in zip(cfg.detrend_orders, observed,
-                                                       ensembles):
+        for order, spectrum, spectra in zip(cfg.detrend_orders, observed, ensembles):
             tag = f"l{order}"
             stats = ensemble_statistics(spectra)
             report = verdict(label, order, spectrum, stats,
                              significance_level=cfg.alpha_level)
             reports[order] = report
 
-            export_surface(surface, out / f"surface_{tag}.tsv")
-            export_spectrum(spectrum, out / f"spectrum_{tag}.tsv")
             _write_table(out / f"ensemble_stats_{tag}.tsv",
                          ["q", "H_mean", "H_std", "tau_mean", "tau_std",
                           "f_mean", "f_std"],
@@ -266,8 +261,7 @@ def run_pipeline(cfg):
 
         manifest = {
             "version": __version__,
-            "config": {k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in vars(cfg).items()},
+            "config": vars(cfg),
             "seeds": {"base": cfg.seed,
                       "members": [int(derive_seed(cfg.seed, i))
                                   for i in range(min(cfg.surrogates, 16))]},
@@ -409,16 +403,10 @@ def _cmd_analyze(args):
 
 def _cmd_spectrum(args):
     cfg = _run_config_from_args(args)
-    out = Path(cfg.out_dir)
     values, label = load_returns(cfg)
-    profile = make_profile(values)
-    for order in cfg.detrend_orders:
-        surface = fluctuation_surface(profile, cfg.analysis_config(order))
-        spectrum = spectrum_from_surface(surface)
-        # created only now, so a data fault leaves no empty directory behind
-        out.mkdir(parents=True, exist_ok=True)
-        export_surface(surface, out / f"surface_l{order}.tsv")
-        export_spectrum(spectrum, out / f"spectrum_l{order}.tsv")
+    acfgs = [cfg.analysis_config(order) for order in cfg.detrend_orders]
+    for order, spectrum in zip(cfg.detrend_orders,
+                               analyze_observed(values, acfgs, Path(cfg.out_dir), {})):
         print(f"{label} l={order}: H(2)={spectrum.H[np.argmin(np.abs(spectrum.q_grid - 2)) ]:.4f} "
               f"delta_alpha={spectrum.delta_alpha:.4f} delta_f={spectrum.delta_f:.4f}")
     return EXIT_OK

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    DegenerateSeries,
     MalformedRow,
     NonMonotoneDates,
     NonPositivePrice,
@@ -58,9 +57,6 @@ class ReturnSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self):
-        return len(self.values)
 
 
 def _parse_date(text):
@@ -169,14 +165,3 @@ def load_price_csv(path, date_col, value_col, label=None):
 def log_returns(prices):
     """r[t] = ln P[t+1] - ln P[t]."""
     return ReturnSeries(np.diff(np.log(prices.values)), prices.label)
-
-
-def display_transform(returns):
-    """Rescale returns onto [10, 90] for plotting: 40*r/max|r| + 50."""
-    values = np.asarray(returns.values, dtype=float)
-    if len(values) == 0:
-        raise SeriesTooShort("empty return series")
-    peak = np.max(np.abs(values))
-    if peak == 0:
-        raise DegenerateSeries("all returns are zero")
-    return 40.0 * values / peak + 50.0

@@ -25,17 +25,34 @@ from .errors import (
 # up on near-zero residuals).
 DEGENERACY_FLOOR_FACTOR = 1e-12
 
+# Most q points a grid may have. Each point is a row of the (n_q, boxes)
+# temporary that _power_means makes at every scale, 8 bytes a box: at the
+# cap, 2^18 returns at s = 20 (26,214 boxes) take 210 MB.
+MAX_Q_POINTS = 1001
+
 
 def default_q_grid(q_min=-5.0, q_max=5.0, q_step=0.25):
+    if not q_step > 0:
+        raise ValueError("q step must be positive")
     steps = (q_max - q_min) / q_step
     if not np.isfinite(steps):
         raise ValueError(f"q bounds {q_min}..{q_max} step {q_step} give no finite grid")
-    return np.linspace(q_min, q_max, int(round(steps)) + 1)
+    points = int(round(steps)) + 1
+    if points > MAX_Q_POINTS:
+        raise ValueError(f"q bounds {q_min}..{q_max} step {q_step} give {points} points, "
+                         f"more than {MAX_Q_POINTS}")
+    return np.linspace(q_min, q_max, points)
 
 
 def default_scale_grid(s_min=20, s_max=316, count=30):
+    if not (s_min > 0 and s_max > 0 and count > 0):
+        raise ValueError("s min, s max and s count must be positive")
     grid = np.exp(np.linspace(np.log(s_min), np.log(s_max), count))
-    return np.unique(np.round(grid).astype(int))
+    grid = np.unique(np.round(grid).astype(int))
+    if len(grid) < count:
+        raise ValueError(f"scales {s_min}..{s_max} round to {len(grid)} "
+                         f"distinct integers, fewer than s count {count}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -49,6 +66,9 @@ class AnalysisConfig:
         s = np.asarray(self.scale_grid, dtype=int)
         object.__setattr__(self, "q_grid", q)
         object.__setattr__(self, "scale_grid", s)
+        if len(q) < 4:
+            raise ValueError(f"q grid has {len(q)} points, fewer than "
+                             "the 4 points the quadratic tau(q) fit needs")
         if self.detrend_order not in (1, 2):
             raise ValueError("detrend_order must be 1 or 2")
         if np.any(np.diff(q) <= 0):
@@ -75,9 +95,6 @@ class Profile:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -108,7 +125,7 @@ def make_profile(returns):
     For log returns this is the log-price path up to an additive constant,
     which polynomial detrending of order >= 1 removes.
     """
-    values = np.asarray(getattr(returns, "values", returns), dtype=float)
+    values = np.asarray(returns, dtype=float)
     if len(values) < 1:
         raise SeriesTooShort("empty return series")
     bad = np.flatnonzero(~np.isfinite(values))
@@ -118,26 +135,15 @@ def make_profile(returns):
 
 
 def _segments(values, s):
-    """The boxes of partition_segments(len(values), s) as a (k, s) array."""
+    """The boxes of length s as a (k, s) array: the forward pass alone when
+    s divides n, else floor(n/s) boxes from each end of the series."""
     n = len(values)
-    if s > n:
-        raise ScaleTooLarge(f"scale {s} exceeds series length {n}")
     n_boxes = n // s
     forward = values[: n_boxes * s].reshape(n_boxes, s)
     if n_boxes * s == n:
         return forward
     backward = values[n - n_boxes * s:].reshape(n_boxes, s)
     return np.concatenate([forward, backward])
-
-
-def partition_segments(n, s):
-    """Index windows of exact length s covering the series from both ends.
-
-    When s divides n the forward pass alone covers everything; otherwise
-    floor(n/s) windows from each end are used and a short middle remnant
-    of each pass stays uncovered.
-    """
-    return [(int(start), int(start) + s) for start in _segments(np.arange(n), s)[:, 0]]
 
 
 def _design_basis(s, order):

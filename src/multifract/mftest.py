@@ -42,10 +42,6 @@ class EnsembleStats:
     delta_alpha_samples: np.ndarray
     delta_f_samples: np.ndarray
 
-    @property
-    def size(self):
-        return len(self.delta_alpha_samples)
-
 
 @dataclass(frozen=True)
 class ShapeFlags:

@@ -53,6 +53,11 @@ class TestSynthSpecParsing:
         with pytest.raises(ValueError):
             synth_series("brownian:n=10")
 
+    def test_uncast_value_names_key_value_and_spec(self):
+        with pytest.raises(ValueError) as info:
+            parse_synth_spec("noise:n=abc")
+        assert str(info.value) == "synth spec 'noise:n=abc': n='abc' is not a valid int"
+
     def test_cascade_seed_shuffles(self):
         one, _ = synth_series("cascade:levels=8,p=0.3,seed=1")
         two, _ = synth_series("cascade:levels=8,p=0.3,seed=2")
@@ -324,6 +329,20 @@ class TestExitCodes:
                      "--q-max", q_range[1], "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_huge_q_range_refused_before_linspace(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # the cap must act on the point count, before any grid is allocated
+        def linspace(*args, **kwargs):
+            raise AssertionError("np.linspace reached")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        out = tmp_path / "r"
+        assert main([command, "--synth", "noise:n=4096", "--q-max", "1e12",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "give 4000000000021 points, more than 1001" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_detrend_order_rejected_before_output(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(ANALYZE_ARGS + ["--detrend-order", "3", "--out", str(out)]) == EXIT_CONFIG
@@ -468,9 +487,10 @@ class TestGoldenRun:
 
 
 class TestBenchmarkTraceHooks:
-    def test_spans_of_an_analyze_run(self, tmp_path):
-        # bench/spans.py wraps these names where cli and mfdfa look them up;
-        # deleting one, or moving the ensemble's iaaft lookup out of cli, blinds it
+    # bench/spans.py wraps these names where cli and mfdfa look them up;
+    # deleting one, or moving the ensemble's iaaft lookup out of cli, blinds it
+    @staticmethod
+    def traced_main(argv):
         path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
         spec = importlib.util.spec_from_file_location("bench_spans", path)
         spans = importlib.util.module_from_spec(spec)
@@ -478,18 +498,29 @@ class TestBenchmarkTraceHooks:
         tracer = spans.Tracer()
         spans.install(tracer, cli, mfdfa)
         try:
-            code = main(["analyze", "--synth", "noise:n=2048,seed=1", "--surrogates", "2",
-                         "--out", str(tmp_path / "r")])
+            code = main(argv)
         finally:
             tracer.restore()
         assert code == EXIT_OK
         assert tracer.failures == []
-        metrics = spans.layer_metrics(tracer.spans)
+        return tracer, spans.layer_metrics(tracer.spans)
+
+    def test_spans_of_an_analyze_run(self, tmp_path):
+        tracer, metrics = self.traced_main(["analyze", "--synth", "noise:n=2048,seed=1",
+                                            "--surrogates", "2", "--out", str(tmp_path / "r")])
         assert metrics["surrogate.iaaft_calls"] == 2
         assert metrics["surrogate.useful_member_ratio"] == 1.0
         # the observed surface and one per member
         assert metrics["mfdfa.surface_calls"] == 3
         assert [s["name"] for s in tracer.spans].count("cli.run_pipeline") == 1
+
+    def test_spans_of_a_spectrum_run(self, tmp_path):
+        # the surface annotation reads the profile's .values
+        tracer, metrics = self.traced_main(["spectrum", "--synth", "noise:n=2048,seed=1",
+                                            "--detrend-order", "1", "--detrend-order", "2",
+                                            "--out", str(tmp_path / "r")])
+        assert metrics["mfdfa.surface_calls"] == 2
+        assert [s["name"] for s in tracer.spans].count("cli._cmd_spectrum") == 1
 
 
 ENSEMBLE_ARTIFACTS = [

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from multifract.errors import (
     DataError,
-    DegenerateSeries,
     MalformedRow,
     NonMonotoneDates,
     NonPositivePrice,
@@ -17,10 +16,8 @@ from multifract.errors import (
 )
 from multifract.ingest import (
     PriceSeries,
-    ReturnSeries,
     _parse_date,
     _parse_price,
-    display_transform,
     load_price_csv,
     log_returns,
 )
@@ -268,23 +265,3 @@ class TestPriceSeries:
         with pytest.raises(DataError, match=match):
             PriceSeries(dates, np.array(values))
 
-
-class TestDisplayTransform:
-    def test_extremes(self):
-        out = display_transform(ReturnSeries(np.array([0.1, -0.1])))
-        np.testing.assert_allclose(out, [90, 10])
-
-    def test_single_max(self):
-        np.testing.assert_allclose(display_transform(ReturnSeries(np.array([0.05]))), [90])
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateSeries):
-            display_transform(ReturnSeries(np.array([0.0, 0.0])))
-
-    def test_max_is_exactly_90_at_argmax(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(0, 0.02, 400)
-        values[137] = 0.1  # force the largest magnitude to be positive
-        out = display_transform(ReturnSeries(values))
-        assert out.min() >= 10 and out.max() <= 90
-        assert out[137] == 90.0 and int(np.argmax(out)) == 137

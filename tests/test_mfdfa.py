@@ -14,6 +14,7 @@ from multifract.errors import (
     Underdetermined,
 )
 from multifract.mfdfa import (
+    MAX_Q_POINTS,
     AnalysisConfig,
     FluctuationSurface,
     Profile,
@@ -27,8 +28,8 @@ from multifract.mfdfa import (
     local_fluctuation,
     make_profile,
     mass_exponents,
+    _segments,
     overall_fluctuation,
-    partition_segments,
     singularity_spectrum,
 )
 from multifract.synth import gaussian_white_noise
@@ -52,6 +53,29 @@ class TestConfig:
         grid = default_scale_grid()
         assert np.issubdtype(grid.dtype, np.integer)
         assert len(np.unique(grid)) == len(grid)
+
+    def test_q_grid_needs_4_points(self):
+        with pytest.raises(ValueError, match="3 points, fewer than the 4 points"):
+            AnalysisConfig(q_grid=np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("step", [0.0, -0.25, float("nan")])
+    def test_q_step_must_be_positive(self, step):
+        with pytest.raises(ValueError, match="q step must be positive"):
+            default_q_grid(q_step=step)
+
+    def test_q_point_cap(self):
+        assert len(default_q_grid(-5.0, 5.0, 10.0 / (MAX_Q_POINTS - 1))) == MAX_Q_POINTS
+        with pytest.raises(ValueError, match=f"give {MAX_Q_POINTS + 1} points"):
+            default_q_grid(-5.0, 5.0, 10.0 / MAX_Q_POINTS)
+
+    @pytest.mark.parametrize("bounds", [(0, 316, 30), (20, -1, 30), (20, 316, 0)])
+    def test_scale_bounds_and_count_must_be_positive(self, bounds):
+        with pytest.raises(ValueError, match="must be positive"):
+            default_scale_grid(*bounds)
+
+    def test_scale_grid_short_of_count(self):
+        with pytest.raises(ValueError, match="round to 8 distinct"):
+            default_scale_grid(5, 12, 30)
 
     def test_q_grid_must_contain_0_and_2(self):
         with pytest.raises(ValueError):
@@ -89,23 +113,24 @@ class TestMakeProfile:
             make_profile(returns)
 
 
+def box_starts(n, s):
+    return _segments(np.arange(n), s)[:, 0].tolist()
+
+
 class TestPartition:
     def test_exact_division(self):
-        assert partition_segments(10, 5) == [(0, 5), (5, 10)]
+        assert box_starts(10, 5) == [0, 5]
 
     def test_both_ends(self):
-        assert partition_segments(10, 4) == [(0, 4), (4, 8), (2, 6), (6, 10)]
-
-    def test_scale_too_large(self):
-        with pytest.raises(ScaleTooLarge):
-            partition_segments(3, 5)
+        assert box_starts(10, 4) == [0, 4, 2, 6]
 
     def test_window_lengths_and_count(self):
         for n, s in [(100, 7), (64, 8), (1000, 33)]:
-            windows = partition_segments(n, s)
+            boxes = _segments(np.arange(n), s)
             expected = n // s if n % s == 0 else 2 * (n // s)
-            assert len(windows) == expected
-            assert all(b - a == s for a, b in windows)
+            assert boxes.shape == (expected, s)
+            # each box is a run of s consecutive points of the series
+            assert np.all(np.diff(boxes, axis=1) == 1)
 
 
 class TestDetrend:

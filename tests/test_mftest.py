@@ -89,7 +89,7 @@ class TestEnsembleStatistics:
         stats = ensemble_statistics(self.make_pair(0.4, 0.6))
         np.testing.assert_allclose(stats.H_mean, 0.5)
         np.testing.assert_allclose(stats.H_std, 0.141421, atol=1e-6)
-        assert stats.size == 2
+        assert len(stats.delta_alpha_samples) == 2
 
     def test_grid_mismatch(self):
         q1 = default_q_grid()
