@@ -27,7 +27,7 @@ from .mfdfa import (
     make_profile,
     spectrum_from_surface,
 )
-from .mftest import ensemble_statistics, format_report, verdict
+from .mftest import ensemble_statistics, format_report, verdict, width_test_size
 from .surrogate import derive_seed, iaaft, IaaftConfig
 from .synth import CascadeSpec, FbmSpec, binomial_cascade, fbm, gaussian_white_noise
 
@@ -158,6 +158,9 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     if workers == 1:
         members = list(map(member, seeds))
     else:
+        # loaded before the fork, so each worker inherits it instead of
+        # paying for the import itself
+        import scipy.fft  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             members = list(pool.map(member, seeds, chunksize=8))
     spectra = [[member[k] for member, _ in members] for k in range(len(acfgs))]
@@ -259,6 +262,11 @@ def run_pipeline(cfg):
                 json.dumps(report.to_dict(), indent=2, sort_keys=True))
             (out / f"report_{tag}.txt").write_text(format_report(report) + "\n")
 
+        size = width_test_size(cfg.surrogates, cfg.alpha_level)
+        warnings = [f"width test size {size:.4g} at {cfg.surrogates} surrogates "
+                    f"exceeds alpha {cfg.alpha_level}"] if size > cfg.alpha_level else []
+        for message in warnings:
+            print(f"warning: {message}", file=sys.stderr)
         manifest = {
             "version": __version__,
             "config": vars(cfg),
@@ -268,6 +276,8 @@ def run_pipeline(cfg):
             "input_fingerprint": _fingerprint(cfg),
             "timings_s": timings,
             "iaaft": _iaaft_summary(diagnostics),
+            "width_test_size": size,
+            "warnings": warnings,
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         marker.unlink()

@@ -7,6 +7,7 @@ spectrum f(alpha).
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +38,8 @@ def default_q_grid(q_min=-5.0, q_max=5.0, q_step=0.25):
     steps = (q_max - q_min) / q_step
     if not np.isfinite(steps):
         raise ValueError(f"q bounds {q_min}..{q_max} step {q_step} give no finite grid")
+    if q_max < q_min:
+        raise ValueError(f"q bounds {q_min}..{q_max}: q max {q_max} is below q min {q_min}")
     points = int(round(steps)) + 1
     if points > MAX_Q_POINTS:
         raise ValueError(f"q bounds {q_min}..{q_max} step {q_step} give {points} points, "
@@ -146,12 +149,15 @@ def _segments(values, s):
     return np.concatenate([forward, backward])
 
 
+@cache
 def _design_basis(s, order):
     # Orthonormal polynomial basis on a centered/scaled abscissa; raw
-    # normal equations on 1..s are ill-conditioned for order 2.
+    # normal equations on 1..s are ill-conditioned for order 2. Built once
+    # per (s, order) in a process and shared, so it is made read-only.
     t = np.arange(1, s + 1, dtype=float)
     t = (t - t.mean()) / max(t.std(), 1.0)
     basis, _ = np.linalg.qr(np.vander(t, order + 1, increasing=True))
+    basis.flags.writeable = False
     return basis
 
 
@@ -163,7 +169,8 @@ def detrend_segment(values, order):
     if s < order + 2:
         raise Underdetermined(f"segment of {s} points cannot fit order {order}")
     basis = _design_basis(s, order)
-    return values - (values @ basis) @ basis.T
+    fitted = (values @ basis) @ basis.T
+    return np.subtract(values, fitted, out=fitted)
 
 
 def local_fluctuation(residuals):

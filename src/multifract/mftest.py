@@ -4,7 +4,6 @@ surrogate ensemble."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import GridMismatch, RankDeficient
 
@@ -145,6 +144,10 @@ def ensemble_statistics(spectra):
 
 def quadratic_tau_fit(q_grid, tau):
     """OLS of tau on [1, q, q^2] with t-statistics, model F and R^2."""
+    # imported here, its only use, so commands that reach no verdict do
+    # not pay ~0.3 s to load scipy
+    from scipy import special
+
     q = np.asarray(q_grid, dtype=float)
     tau = np.asarray(tau, dtype=float)
     n = len(q)
@@ -183,6 +186,14 @@ def width_test(delta_alpha, ens_stats):
     observed one. Ties count as non-exceeding."""
     samples = ens_stats.delta_alpha_samples
     return float(np.count_nonzero(samples > delta_alpha)) / len(samples)
+
+
+def width_test_size(n_surrogates, significance_level):
+    """Null probability that the width test rejects: the observed width is
+    exchangeable with the N surrogate ones, so k is uniform on 0..N and
+    the size is the share of k with k/N < alpha, ceil(alpha N)/(N + 1)."""
+    k = np.arange(n_surrogates + 1)
+    return float(np.count_nonzero(k / n_surrogates < significance_level)) / (n_surrogates + 1)
 
 
 def spectrum_difference_test(delta_f, ens_stats):

@@ -28,6 +28,7 @@ from multifract.cli import (
     synth_series,
 )
 from multifract.ingest import load_price_csv, log_returns
+from multifract.mftest import width_test_size
 from multifract.surrogate import IaaftConfig, derive_seed, iaaft
 from multifract.synth import CascadeSpec, binomial_cascade
 
@@ -406,14 +407,33 @@ class TestExitCodes:
         assert main(["spectrum", "--synth", "noise:n=2048", "--s-count", "0",
                      "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
-    def test_import_does_not_load_scipy_fft(self):
-        # scipy.fft is imported inside iaaft, so commands that never run it
-        # do not pay for loading it
-        code = ("import sys, multifract.cli as cli; cli.build_parser(); "
-                "assert 'scipy.fft' not in sys.modules, 'scipy.fft imported'")
+    @staticmethod
+    def assert_loads_no_scipy(call, *args):
+        # scipy.special loads inside quadratic_tau_fit and scipy.fft inside
+        # iaaft, so a run that reaches neither loads no scipy module at all
+        code = (f"import sys, multifract.cli as cli; {call}; "
+                "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                "assert not loaded, loaded")
         src = str(Path(cli.__file__).resolve().parents[1])
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env=dict(os.environ, PYTHONPATH=src))
+        subprocess.run([sys.executable, "-c", code, *args], check=True,
+                       env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL)
+
+    def test_import_does_not_load_scipy_fft(self):
+        self.assert_loads_no_scipy("cli.build_parser()")
+
+    def test_spectrum_loads_no_scipy(self, tmp_path):
+        self.assert_loads_no_scipy(
+            "assert cli.main(['spectrum', '--synth', 'noise:n=4096', '--out', sys.argv[1]]) == 0",
+            str(tmp_path / "r"))
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_q_max_below_q_min_names_both_bounds(self, tmp_path, capsys, command):
+        out = tmp_path / "r"
+        assert main([command, "--synth", "noise:n=4096", "--q-min", "5", "--q-max", "-5",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: q bounds 5.0..-5.0: q max -5.0 is below q min 5.0" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         # argparse's SystemExit is translated into a return code
@@ -577,6 +597,36 @@ class TestSharedEnsemble:
         residuals = [r.spectrum_residual for r in results]
         assert block["residual_median"] == float(np.median(residuals))
         assert block["residual_max"] == max(residuals)
+
+
+class TestWidthTestSize:
+    # with p = k/N and k uniform on 0..N under the null, the width test
+    # rejects with probability ceil(alpha N)/(N + 1)
+    @pytest.mark.parametrize("surrogates, size, warned", [
+        (16, 1 / 17, True), (20, 1 / 21, False),
+    ], ids=["n16_warns", "n20_silent"])
+    def test_manifest_records_size_and_warns_above_alpha(self, tmp_path, capsys,
+                                                          surrogates, size, warned):
+        out = tmp_path / "r"
+        assert main(["analyze", "--synth", "noise:n=2048,seed=3", "--surrogates",
+                     str(surrogates), "--s-min", "10", "--s-max", "256", "--s-count", "10",
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["width_test_size"] == size
+        assert len(manifest["warnings"]) == warned
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("warning:")]
+        assert len(lines) == warned
+        if warned:
+            assert f"{size:.4g}" in lines[0] and "0.05" in lines[0]
+
+    # 0.07 * 100 rounds to just above 7, yet k/N < alpha admits only k = 0..6,
+    # as the test itself decides
+    @pytest.mark.parametrize("n, alpha, size", [
+        (1000, 0.05, 50 / 1001), (12, 0.05, 1 / 13), (3, 0.05, 1 / 4), (100, 0.07, 7 / 101),
+    ])
+    def test_size_formula(self, n, alpha, size):
+        assert width_test_size(n, alpha) == pytest.approx(size, rel=1e-15)
 
 
 def _manifest_iaaft(out):

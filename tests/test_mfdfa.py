@@ -28,6 +28,7 @@ from multifract.mfdfa import (
     local_fluctuation,
     make_profile,
     mass_exponents,
+    _design_basis,
     _segments,
     overall_fluctuation,
     singularity_spectrum,
@@ -163,6 +164,24 @@ class TestDetrend:
         with pytest.raises(Underdetermined):
             detrend_segment([1.0, 2.0], 1)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_basis_built_once_and_read_only(self, order):
+        basis = _design_basis(37, order)
+        assert _design_basis(37, order) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_input_left_unchanged(self, order):
+        profile = np.cumsum(np.random.default_rng(4).normal(size=120))
+        segment = profile[:40].copy()
+        detrend_segment(segment, order)
+        np.testing.assert_array_equal(segment, profile[:40])
+        before = profile.copy()
+        boxes = profile.reshape(3, 40)
+        detrend_segment(boxes, order)
+        np.testing.assert_array_equal(profile, before)
+
 
 class TestLocalFluctuation:
     def test_values(self):
@@ -285,6 +304,50 @@ class TestSurface:
         a = fluctuation_surface(profile, cfg)
         b = fluctuation_surface(profile, cfg)
         assert np.array_equal(a.F, b.F)
+
+
+@st.composite
+def analysis_cases(draw):
+    """Small valid runs: i.i.d. normal returns, a detrend order, a q grid
+    holding 0 and 2, and at least 3 scales between order + 2 and N/4."""
+    n = draw(st.integers(128, 1024))
+    order = draw(st.sampled_from([1, 2]))
+    scales = draw(st.lists(st.integers(order + 2, n // 4), min_size=3, max_size=8,
+                           unique=True))
+    q_grid = default_q_grid(draw(st.integers(-5, -1)), draw(st.integers(2, 5)),
+                            draw(st.sampled_from([0.25, 0.5, 1.0])))
+    cfg = AnalysisConfig(q_grid=q_grid, scale_grid=np.array(sorted(scales)),
+                         detrend_order=order)
+    returns = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(size=n)
+    return returns, cfg
+
+
+class TestSurfaceProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(analysis_cases(), st.floats(1e-3, 1e3), st.booleans())
+    def test_scaling_returns_scales_f(self, case, c, negate):
+        returns, cfg = case
+        c = -c if negate else c
+        base = fluctuation_surface(make_profile(returns), cfg)
+        scaled = fluctuation_surface(make_profile(c * returns), cfg)
+        np.testing.assert_allclose(scaled.F, abs(c) * base.F, rtol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(analysis_cases(), st.floats(-10, 10))
+    def test_constant_drift_leaves_f_unchanged(self, case, drift):
+        # a constant added to the returns is a line in the profile, which
+        # detrending of order >= 1 removes up to rounding
+        returns, cfg = case
+        base = fluctuation_surface(make_profile(returns), cfg)
+        drifted = fluctuation_surface(make_profile(returns + drift), cfg)
+        np.testing.assert_allclose(drifted.F, base.F, rtol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(analysis_cases())
+    def test_legendre_identity_exact(self, case):
+        returns, cfg = case
+        spec = analyze_returns(returns, cfg)
+        assert np.array_equal(spec.f, cfg.q_grid * spec.alpha - spec.tau)
 
 
 class TestHurstSpectrum:
