@@ -31,6 +31,14 @@ DEGENERACY_FLOOR_FACTOR = 1e-12
 # cap, 2^18 returns at s = 20 (26,214 boxes) take 210 MB.
 MAX_Q_POINTS = 1001
 
+# Most values in one block of box fits. fluctuation_surface fits a scale's
+# boxes in row blocks of at most this many values, so each box product has
+# m*n*k <= 3 * 2^16, below the 4 * 65,536 at which OpenBLAS splits a
+# product over threads: on a long series a second thread doubles the CPU
+# time and gains no wall time. A block's temporaries stay at 512 KB, and a
+# series of up to 32,768 values fits every scale in one block.
+BOX_BLOCK = 1 << 16
+
 
 def default_q_grid(q_min=-5.0, q_max=5.0, q_step=0.25):
     if not q_step > 0:
@@ -50,6 +58,8 @@ def default_q_grid(q_min=-5.0, q_max=5.0, q_step=0.25):
 def default_scale_grid(s_min=20, s_max=316, count=30):
     if not (s_min > 0 and s_max > 0 and count > 0):
         raise ValueError("s min, s max and s count must be positive")
+    if s_max < s_min:
+        raise ValueError(f"scales {s_min}..{s_max}: s max {s_max} is below s min {s_min}")
     grid = np.exp(np.linspace(np.log(s_min), np.log(s_max), count))
     grid = np.unique(np.round(grid).astype(int))
     if len(grid) < count:
@@ -180,6 +190,16 @@ def local_fluctuation(residuals):
     return np.sqrt(np.mean(residuals ** 2, axis=-1))
 
 
+def _box_fluctuations(values, s, order):
+    """Local fluctuation of every box of length s, fitted in row blocks of
+    at most BOX_BLOCK values, so a box's result depends on its block's
+    values, not on the length of the series."""
+    segments = _segments(values, s)
+    rows = max(BOX_BLOCK // s, 1)
+    return np.concatenate([local_fluctuation(detrend_segment(segments[i:i + rows], order))
+                           for i in range(0, len(segments), rows)])
+
+
 def _power_means(log_fv, q_grid):
     """q-order power means of exp(log_fv), one per q (geometric at q=0)."""
     q_grid = np.asarray(q_grid, dtype=float)
@@ -220,7 +240,7 @@ def fluctuation_surface(profile, cfg):
     excluded = np.zeros_like(F, dtype=int)
 
     for j, s in enumerate(cfg.scale_grid.tolist()):
-        fv = local_fluctuation(detrend_segment(_segments(values, s), cfg.detrend_order))
+        fv = _box_fluctuations(values, s, cfg.detrend_order)
         keep = fv >= floor
         if not keep.any():
             raise AllBoxesDegenerate(q=q_grid[0], s=s)

@@ -8,6 +8,11 @@ import numpy as np
 
 from .errors import EmbeddingFailure
 
+# Longest series a generator makes, checked before anything is allocated.
+# At 2^21 an fBm's complex embedding of 2^22 points takes 64 MB, and the
+# `synth` command's one calendar day per value still ends before year 9999.
+MAX_POINTS = 1 << 21
+
 
 @dataclass(frozen=True)
 class CascadeSpec:
@@ -20,6 +25,9 @@ class CascadeSpec:
             raise ValueError("p must lie in (0, 0.5]")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
+        if self.levels > MAX_POINTS.bit_length() - 1:
+            raise ValueError(f"levels {self.levels} give 2^{self.levels} cells, more than "
+                             f"synth.MAX_POINTS = {MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,12 @@ class FbmSpec:
             raise ValueError("hurst must lie in (0, 1)")
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two")
+        _check_points(self.n)
+
+
+def _check_points(n):
+    if n > MAX_POINTS:
+        raise ValueError(f"n = {n} is more than synth.MAX_POINTS = {MAX_POINTS}")
 
 
 def binomial_cascade(spec):
@@ -116,5 +130,6 @@ def gaussian_white_noise(n, seed):
     """i.i.d. standard normal draws, seeded."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_points(n)
     rng = np.random.default_rng(np.random.PCG64(seed))
     return rng.standard_normal(n)

@@ -30,7 +30,7 @@ from multifract.cli import (
 from multifract.ingest import load_price_csv, log_returns
 from multifract.mftest import width_test_size
 from multifract.surrogate import IaaftConfig, derive_seed, iaaft
-from multifract.synth import CascadeSpec, binomial_cascade
+from multifract.synth import MAX_POINTS, CascadeSpec, binomial_cascade
 
 
 class TestSynthSpecParsing:
@@ -433,6 +433,35 @@ class TestExitCodes:
                      "--out", str(out)]) == EXIT_CONFIG
         assert "config error: q bounds 5.0..-5.0: q max -5.0 is below q min 5.0" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_s_max_below_s_min_names_both_bounds(self, tmp_path, capsys, command):
+        out = tmp_path / "r"
+        assert main([command, "--synth", "noise:n=8192", "--s-min", "316", "--s-max", "20",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: scales 316..20: s max 20 is below s min 316" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, target, name", [
+        (["synth", "--kind", "cascade", "--levels", "80"], cli, "binomial_cascade"),
+        (["analyze", "--synth", "cascade:levels=80"], cli, "binomial_cascade"),
+        (["spectrum", "--synth", "fbm:n=1099511627776"], cli, "fbm"),
+        (["synth", "--kind", "noise", "--n", "100000000000"], np.random, "default_rng"),
+        (["spectrum", "--synth", "noise:n=100000000000"], np.random, "default_rng"),
+    ])
+    def test_huge_generator_refused_before_allocation(self, tmp_path, capsys, monkeypatch,
+                                                      argv, target, name):
+        # the cap must act on the requested length, before the generator runs
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{name} reached")
+
+        monkeypatch.setattr(target, name, reached)
+        out = tmp_path / "r"
+        path = out / "x.csv" if argv[0] == "synth" else out
+        assert main(argv + ["--out", str(path)]) == EXIT_CONFIG
+        assert f"more than synth.MAX_POINTS = {MAX_POINTS}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_version_flag(self, capsys):

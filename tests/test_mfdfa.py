@@ -13,7 +13,9 @@ from multifract.errors import (
     SeriesTooShort,
     Underdetermined,
 )
+from multifract import mfdfa
 from multifract.mfdfa import (
+    BOX_BLOCK,
     MAX_Q_POINTS,
     AnalysisConfig,
     FluctuationSurface,
@@ -28,6 +30,7 @@ from multifract.mfdfa import (
     local_fluctuation,
     make_profile,
     mass_exponents,
+    _box_fluctuations,
     _design_basis,
     _segments,
     overall_fluctuation,
@@ -73,6 +76,10 @@ class TestConfig:
     def test_scale_bounds_and_count_must_be_positive(self, bounds):
         with pytest.raises(ValueError, match="must be positive"):
             default_scale_grid(*bounds)
+
+    def test_scale_max_below_min_names_both_bounds(self):
+        with pytest.raises(ValueError, match="scales 316..20: s max 20 is below s min 316"):
+            default_scale_grid(316, 20)
 
     def test_scale_grid_short_of_count(self):
         with pytest.raises(ValueError, match="round to 8 distinct"):
@@ -304,6 +311,47 @@ class TestSurface:
         a = fluctuation_surface(profile, cfg)
         b = fluctuation_surface(profile, cfg)
         assert np.array_equal(a.F, b.F)
+
+
+class TestBoxBlocks:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("s", [20, 57, 316])
+    def test_box_fluctuation_independent_of_series_length(self, order, s):
+        # a box's fluctuation is a function of its block's values only, so
+        # the first block of a long series matches, bit for bit, a prefix that
+        # is that block. (A shorter prefix may not: BLAS fits the last partial
+        # tile of a block's rows with another kernel, which moves last bits.)
+        values = make_profile(gaussian_white_noise(2 ** 18, 14)).values
+        rows = BOX_BLOCK // s
+        whole = _box_fluctuations(values, s, order)[:rows]
+        prefix = _box_fluctuations(values[:rows * s], s, order)
+        assert len(prefix) == rows
+        assert np.array_equal(whole, prefix)
+
+    @pytest.mark.parametrize("n, one_per_scale", [(2 ** 18, False), (2 ** 14, True)])
+    def test_every_fit_within_one_block(self, monkeypatch, n, one_per_scale):
+        sizes = []
+        detrend = mfdfa.detrend_segment
+
+        def recording(values, order):
+            sizes.append(np.size(values))
+            return detrend(values, order)
+
+        monkeypatch.setattr(mfdfa, "detrend_segment", recording)
+        cfg = AnalysisConfig(detrend_order=2)
+        fluctuation_surface(make_profile(gaussian_white_noise(n, 15)), cfg)
+        assert max(sizes) <= BOX_BLOCK
+        assert (len(sizes) == len(cfg.scale_grid)) is one_per_scale
+
+    def test_blocks_keep_box_order(self, monkeypatch):
+        # one-row and several-row blocks give the surface of a single block
+        cfg = AnalysisConfig(scale_grid=np.array([5, 8, 13, 20, 50, 125, 200]))
+        profile = make_profile(gaussian_white_noise(997, 16))
+        whole = fluctuation_surface(profile, cfg)
+        monkeypatch.setattr(mfdfa, "BOX_BLOCK", 64)
+        blocked = fluctuation_surface(profile, cfg)
+        np.testing.assert_allclose(blocked.F, whole.F, rtol=1e-12)
+        np.testing.assert_array_equal(blocked.excluded, whole.excluded)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multifract.synth import (
+    MAX_POINTS,
     CascadeSpec,
     FbmSpec,
     binomial_cascade,
@@ -62,6 +63,12 @@ class TestBinomialCascade:
             CascadeSpec(8, 0.0)
         with pytest.raises(ValueError):
             CascadeSpec(0, 0.3)
+
+    def test_levels_capped_at_max_points(self):
+        levels = MAX_POINTS.bit_length() - 1
+        assert CascadeSpec(levels, 0.3).levels == levels
+        with pytest.raises(ValueError, match=f"synth.MAX_POINTS = {MAX_POINTS}"):
+            CascadeSpec(levels + 1, 0.3)
 
 
 class TestCascadeAnalyticHq:
@@ -156,6 +163,11 @@ class TestFbm:
         with pytest.raises(ValueError):
             FbmSpec(1024, 0.0)
 
+    def test_length_capped_at_max_points(self):
+        assert FbmSpec(MAX_POINTS, 0.5).n == MAX_POINTS
+        with pytest.raises(ValueError, match=f"synth.MAX_POINTS = {MAX_POINTS}"):
+            FbmSpec(2 * MAX_POINTS, 0.5)
+
 
 class TestGaussianWhiteNoise:
     def test_clt_bounds(self):
@@ -176,3 +188,5 @@ class TestGaussianWhiteNoise:
     def test_invalid_length(self):
         with pytest.raises(ValueError):
             gaussian_white_noise(0, 1)
+        with pytest.raises(ValueError, match=f"synth.MAX_POINTS = {MAX_POINTS}"):
+            gaussian_white_noise(MAX_POINTS + 1, 1)
