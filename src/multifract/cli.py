@@ -9,14 +9,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import DataError, DegenerateSeries, MultifractError
+from .errors import DataError, MultifractError
 from .ingest import load_price_csv, log_returns
 from .mfdfa import (
     AnalysisConfig,
@@ -125,13 +124,15 @@ def synth_series(spec):
 
 
 def load_returns(cfg):
+    """The run's returns and label, checked before any output is made."""
     if cfg.synth_spec:
         values, label = synth_series(cfg.synth_spec)
     else:
         prices = load_price_csv(cfg.input_path, cfg.date_col, cfg.value_col)
         values, label = log_returns(prices).values, prices.label
-    if not values.any():
-        raise DegenerateSeries(f"{label}: every return is zero, nothing to analyse")
+    profile = make_profile(values).values
+    for order in cfg.detrend_orders:
+        cfg.analysis_config(order).validate_profile(profile)
     return values, label
 
 
@@ -422,25 +423,34 @@ def _cmd_spectrum(args):
     return EXIT_OK
 
 
+def _synth_prices(values):
+    """Prices whose log returns are values: from 100, as a running sum from
+    ln 100 gives them, or centred where that walk leaves [low, high]."""
+    low, high = -708.0, 709.0  # log prices whose exp is a finite, normal float64
+    level = np.cumsum(np.concatenate([[np.log(100.0)], values]))
+    if low <= level.min() and level.max() <= high:
+        return np.concatenate([[100.0], np.exp(level[1:])])
+    if np.ptp(level) > high - low:
+        raise ValueError(f"the log prices of n = {len(values)} returns span "
+                         f"{np.ptp(level):.0f}, more than the {high - low:.0f} "
+                         "a float64 price can hold")
+    return np.exp(level + (low + high - level.min() - level.max()) / 2)
+
+
 def _cmd_synth(args):
     # every flag given, so one the kind does not take is a config error
     given = [f"{key}={getattr(args, key)}" for key in ("levels", "p", "n", "hurst", "seed")
              if getattr(args, key) is not None]
     values, _ = synth_series(f"{args.kind}:{','.join(given)}")
-    # synthesized calendar so the file round-trips through the CSV loader;
-    # prices are exp of the cumulative series, so log-returns recover it
-    start = date(2000, 1, 1)
+    prices = _synth_prices(values)
+    # synthesized calendar so the file round-trips through the CSV loader
+    dates = (np.datetime64("2000-01-01") + np.arange(len(prices))).astype(str)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("date,value\n")
-        fh.write(f"{start.isoformat()},100\n")
-        level = np.log(100.0)
-        for i, v in enumerate(values):
-            level += v
-            fh.write(f"{(start + timedelta(days=i + 1)).isoformat()},"
-                     f"{np.exp(level):.17g}\n")
-    print(f"wrote {len(values) + 1} rows to {out}")
+        fh.writelines(f"{day},{price:.17g}\n" for day, price in zip(dates, prices))
+    print(f"wrote {len(prices)} rows to {out}")
     return EXIT_OK
 
 

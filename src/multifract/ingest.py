@@ -50,13 +50,9 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Log returns derived from a PriceSeries."""
+    """Log returns derived from a PriceSeries, made by log_returns."""
 
     values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
 def _parse_date(text):
@@ -164,4 +160,4 @@ def load_price_csv(path, date_col, value_col, label=None):
 
 def log_returns(prices):
     """r[t] = ln P[t+1] - ln P[t]."""
-    return ReturnSeries(np.diff(np.log(prices.values)), prices.label)
+    return ReturnSeries(np.diff(np.log(prices.values)))

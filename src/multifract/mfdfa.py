@@ -14,10 +14,10 @@ import numpy as np
 from .errors import (
     AllBoxesDegenerate,
     DataError,
+    DegenerateSeries,
     GridTooSmall,
     InsufficientScales,
     ScaleTooLarge,
-    SeriesTooShort,
     Underdetermined,
 )
 
@@ -94,10 +94,15 @@ class AnalysisConfig:
         if s[0] < self.detrend_order + 2:
             raise ValueError("smallest scale must be >= detrend_order + 2")
 
-    def validate_for_length(self, n):
+    def validate_profile(self, values):
+        """The series' own rules: N/4 at the largest scale, and spread."""
+        n = len(values)
         if self.scale_grid[-1] > n // 4:
             raise ScaleTooLarge(f"{n} returns are too few for the largest scale "
                                 f"{self.scale_grid[-1]}, which exceeds N/4 = {n // 4}")
+        if values.min() == values.max():
+            raise DegenerateSeries("the profile is flat, as when every return is zero "
+                                   "after the first: nothing to analyse")
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,6 @@ class FluctuationSurface:
     F: np.ndarray                 # (n_q, n_s)
     q_grid: np.ndarray
     scale_grid: np.ndarray
-    detrend_order: int
     excluded: np.ndarray          # per-cell excluded-box counts
 
 
@@ -139,8 +143,6 @@ def make_profile(returns):
     which polynomial detrending of order >= 1 removes.
     """
     values = np.asarray(returns, dtype=float)
-    if len(values) < 1:
-        raise SeriesTooShort("empty return series")
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise DataError(f"return {bad[0]} is {values[bad[0]]}, not a finite number")
@@ -231,8 +233,7 @@ def overall_fluctuation(local_flucts, q, floor=0.0):
 def fluctuation_surface(profile, cfg):
     """F_q(s) over the whole (q, s) grid for one profile."""
     values = profile.values
-    n = len(values)
-    cfg.validate_for_length(n)
+    cfg.validate_profile(values)
 
     q_grid = cfg.q_grid
     floor = DEGENERACY_FLOOR_FACTOR * float(np.std(values))
@@ -247,7 +248,7 @@ def fluctuation_surface(profile, cfg):
         excluded[:, j] = len(fv) - keep.sum()
         F[:, j] = _power_means(np.log(fv[keep]), q_grid)
 
-    return FluctuationSurface(F, q_grid, np.asarray(cfg.scale_grid), cfg.detrend_order, excluded)
+    return FluctuationSurface(F, q_grid, np.asarray(cfg.scale_grid), excluded)
 
 
 def hurst_spectrum(surface):

@@ -181,11 +181,14 @@ def quadratic_tau_fit(q_grid, tau):
                    float(r2), df)
 
 
+def _exceedance(observed, samples):
+    """Share of the samples above the observed value; ties do not count."""
+    return float(np.count_nonzero(samples > observed)) / len(samples)
+
+
 def width_test(delta_alpha, ens_stats):
-    """Empirical p-value: proportion of surrogate widths exceeding the
-    observed one. Ties count as non-exceeding."""
-    samples = ens_stats.delta_alpha_samples
-    return float(np.count_nonzero(samples > delta_alpha)) / len(samples)
+    """Empirical p-value of the observed width against the surrogate ones."""
+    return _exceedance(delta_alpha, ens_stats.delta_alpha_samples)
 
 
 def width_test_size(n_surrogates, significance_level):
@@ -199,8 +202,7 @@ def width_test_size(n_surrogates, significance_level):
 def spectrum_difference_test(delta_f, ens_stats):
     """Empirical p-value on the spectrum difference. Supporting evidence
     only, never sole rejection grounds."""
-    samples = ens_stats.delta_f_samples
-    return float(np.count_nonzero(samples > delta_f)) / len(samples)
+    return _exceedance(delta_f, ens_stats.delta_f_samples)
 
 
 def shape_diagnostics(spectrum):

@@ -11,6 +11,12 @@ from .errors import ConstantSeries, LengthTooShort
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
+# An iterate whose amplitude spectrum matches the source's to this relative
+# residual is a fixed point (in exact arithmetic the spectral step returns
+# it unchanged) that the rank test can miss: near-tied values may swap ranks
+# at every pass, as on a sinusoid whose period divides n.
+EXACT_RESIDUAL = 1e-8
+
 
 def derive_seed(base_seed, index):
     """splitmix64 step: deterministic per-member seed from (base, index)."""
@@ -23,14 +29,11 @@ def derive_seed(base_seed, index):
 @dataclass(frozen=True)
 class IaaftConfig:
     max_iterations: int = 1000
-    spectrum_tolerance: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.spectrum_tolerance <= 0:
-            raise ValueError("spectrum_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class IaaftResult:
     values: np.ndarray
     iterations: int
     spectrum_residual: float
-    stop_reason: str  # "tolerance" | "fixed_point" | "max_iterations"
+    stop_reason: str  # "fixed_point" | "max_iterations"
 
 
 def iaaft(x, cfg):
@@ -46,13 +49,13 @@ def iaaft(x, cfg):
 
     Starting from a seeded random permutation, alternate two steps:
     impose the source amplitude spectrum keeping the iterate's phases,
-    then restore the source's exact values by rank. Stops on spectral
-    residual <= tolerance, an unchanged rank assignment, or the
-    iteration cap. The returned series is the rank-adjusted iterate, so
-    its sorted values equal the source's bit-exactly.
+    then restore the source's exact values by rank. Stops at a fixed
+    point (the ranks repeat, or the spectrum matches to EXACT_RESIDUAL)
+    or at the iteration cap. The returned series is the rank-adjusted
+    iterate, so its sorted values equal the source's bit-exactly.
     """
-    # scipy.fft caches a plan per length (numpy.fft rebuilds its Bluestein
-    # plan on every call); imported here so the CLI import does not pay for it
+    # scipy.fft caches a plan per length, where numpy.fft rebuilds it on
+    # every call; imported here so the CLI import does not pay for it
     from scipy import fft
 
     x = np.asarray(x, dtype=float)
@@ -69,34 +72,21 @@ def iaaft(x, cfg):
 
     current = rng.permutation(x)
     prev_order = None
-    residual = np.inf
-    stop = "max_iterations"
-    iterations = cfg.max_iterations
-    for it in range(1, cfg.max_iterations + 1):
+    for done in range(cfg.max_iterations + 1):  # iterations completed
         spectrum = fft.rfft(current)
         amplitudes = np.abs(spectrum)
-        if it > 1:
-            # current is the previous rank-adjusted iterate; stop on a
-            # small enough spectral residual before iterating further
-            residual = float(np.linalg.norm(amplitudes - target_amp) / target_norm)
-            if residual <= cfg.spectrum_tolerance:
-                stop, iterations = "tolerance", it - 1
-                break
+        residual = float(np.linalg.norm(amplitudes - target_amp) / target_norm)
+        if done and residual <= EXACT_RESIDUAL:
+            return IaaftResult(current, done, residual, "fixed_point")
+        if done == cfg.max_iterations:
+            return IaaftResult(current, done, residual, "max_iterations")
         unit = spectrum / np.where(amplitudes > 0, amplitudes, 1.0)
         unit[amplitudes == 0] = 1.0
         matched = fft.irfft(target_amp * unit, n)
         order = np.argsort(matched)
-        if prev_order is not None and np.array_equal(order, prev_order):
-            # rank adjustment would reproduce the same iterate; its
-            # residual was computed at the top of this pass
-            stop, iterations = "fixed_point", it
-            break
+        if done and np.array_equal(order, prev_order):
+            # rank adjustment would reproduce the same iterate
+            return IaaftResult(current, done + 1, residual, "fixed_point")
         current = np.empty(n)
         current[order] = sorted_x
         prev_order = order
-    else:
-        residual = float(
-            np.linalg.norm(np.abs(fft.rfft(current)) - target_amp) / target_norm
-        )
-    return IaaftResult(current, iterations, residual, stop)
-

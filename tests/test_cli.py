@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from multifract.cli import (
     run_pipeline,
     synth_series,
 )
+from multifract.errors import AllBoxesDegenerate
 from multifract.ingest import load_price_csv, log_returns
 from multifract.mftest import width_test_size
 from multifract.surrogate import IaaftConfig, derive_seed, iaaft
@@ -160,13 +162,17 @@ class TestPipeline:
         with pytest.raises(DataError):
             compare_orders(REPORT, dict(REPORT, label="y"))
 
-    def test_incomplete_marker_left_on_failure(self, tmp_path):
+    def test_incomplete_marker_left_on_failure(self, tmp_path, monkeypatch):
+        # input faults are all found before the run directory exists, so a
+        # fault inside it is a numeric one, here raised by the ensemble
+        def failing(*args, **kwargs):
+            raise AllBoxesDegenerate()
+
+        monkeypatch.setattr(cli, "ensemble_spectra", failing)
         out = tmp_path / "run"
-        # default s_max=316 exceeds N/4 for a 512-point series, a data fault
-        # found once the series is loaded, inside the run directory
-        code = main(["analyze", "--synth", "noise:n=512,seed=1",
+        code = main(["analyze", "--synth", "noise:n=2048,seed=1",
                      "--surrogates", "4", "--out", str(out)])
-        assert code == EXIT_DATA
+        assert code == EXIT_NUMERIC
         assert (out / "INCOMPLETE").exists()
         assert not (out / "manifest.json").exists()
 
@@ -201,6 +207,23 @@ class TestSynthCommand:
         np.testing.assert_allclose(recovered("--seed", "4"), seeded, atol=1e-12)
         assert not np.allclose(seeded, unseeded)
 
+    def test_walk_past_float_range_is_centred(self, tmp_path):
+        # this fbm's log prices from ln 100 fall to -911, below the normal floats
+        path = tmp_path / "fbm.csv"
+        assert main(["synth", "--kind", "fbm", "--n", "16384", "--hurst", "0.7",
+                     "--seed", "1", "--out", str(path)]) == EXIT_OK
+        series = load_price_csv(path, "date", "value")
+        assert np.all(series.values >= np.finfo(float).tiny)
+        expected, _ = synth_series("fbm:n=16384,hurst=0.7,seed=1")
+        np.testing.assert_allclose(log_returns(series).values, expected, atol=1e-9)
+
+    def test_walk_too_wide_for_float_prices_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sub"
+        assert main(["synth", "--kind", "noise", "--n", str(2 ** 20),
+                     "--out", str(out / "noise.csv")]) == EXIT_CONFIG
+        assert "n = 1048576 returns span 1447" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_the_kind_does_not_take_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "noise.csv"
         assert main(["synth", "--kind", "noise", "--hurst", "0.7",
@@ -218,6 +241,23 @@ class TestSynthCommand:
                      "--s-count", "10", "--out", str(out)])
         assert code == EXIT_OK
         assert (out / "report_l1.json").exists()
+
+
+class TestReadmeExamples:
+    def test_synth_examples_load(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = [shlex.split(line) for line in readme.splitlines()
+                    if line.startswith("multifract synth ")]
+        assert len(commands) == 2
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            path = argv[argv.index("--out") + 1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv[1:]) == EXIT_OK
+                assert main(["spectrum", "--input", path, "--out", f"spec-{path}"]) == EXIT_OK
+            assert caught == []
+            assert "error" not in capsys.readouterr().err
 
 
 class TestSpectrumCommand:
@@ -372,6 +412,21 @@ class TestExitCodes:
         assert code == EXIT_DATA and caught == []
         assert "every return is zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["analyze", "--surrogates", "4"], ["spectrum"]])
+    def test_flat_profile_is_data_error(self, tmp_path, capsys, command):
+        # 100, then 200 every day after: the returns are [ln 2, 0, 0, ...]
+        path = tmp_path / "step.csv"
+        days = [date(2000, 1, 1) + timedelta(days=i) for i in range(5000)]
+        path.write_text("date,value\n" + "".join(f"{day},{200 if i else 100}\n"
+                                                 for i, day in enumerate(days)))
+        out = tmp_path / "r"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(command + ["--input", str(path), "--out", str(out)])
+        assert code == EXIT_DATA and caught == []
+        assert "every return is zero after the first" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("texts", [
         ("{}", "{}"), ("[1]", "[1]"), ('{"label": "x"', '{"label": "x"'),
         (json.dumps(REPORT), json.dumps(dict(REPORT, label="y"))),
@@ -390,8 +445,7 @@ class TestExitCodes:
             assert main(command + ["--input", str(path), "--out", str(out)]) == EXIT_DATA
             err = capsys.readouterr().err
             assert "2 returns" in err and "largest scale 316" in err
-            # analyze leaves its INCOMPLETE marker; spectrum leaves nothing
-            assert out.exists() == (command[0] == "analyze")
+            assert not out.exists()
 
     @pytest.mark.parametrize("tail", [b'"' + b"1" * 140_000 + b'"', b"10\xff1"],
                              ids=["long_field", "not_utf8"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from multifract.errors import (
     AllBoxesDegenerate,
     DataError,
+    DegenerateSeries,
     GridTooSmall,
     ScaleTooLarge,
     SeriesTooShort,
@@ -238,6 +239,12 @@ class TestSurface:
         with pytest.raises(AllBoxesDegenerate):
             fluctuation_surface(Profile(2.0 * np.arange(4096.0) + 1.0), cfg)
 
+    def test_flat_profile_rejected(self):
+        # a profile with no spread puts the degeneracy floor at 0, so the
+        # surface would be built from rounding noise
+        with pytest.raises(DegenerateSeries, match="every return is zero"):
+            analyze_returns(np.r_[1.0, np.zeros(4095)], AnalysisConfig())
+
     def test_white_noise_profile_slope_half(self):
         cfg = AnalysisConfig()
         profile = make_profile(gaussian_white_noise(2 ** 14, 42))
@@ -402,7 +409,7 @@ class TestHurstSpectrum:
     def test_exact_power_law(self):
         cfg = AnalysisConfig()
         F = np.tile(3.0 * cfg.scale_grid.astype(float) ** 0.7, (len(cfg.q_grid), 1))
-        surface = FluctuationSurface(F, cfg.q_grid, cfg.scale_grid, 1, np.zeros_like(F, dtype=int))
+        surface = FluctuationSurface(F, cfg.q_grid, cfg.scale_grid, np.zeros_like(F, dtype=int))
         H, stderr, r2 = hurst_spectrum(surface)
         np.testing.assert_allclose(H, 0.7, atol=1e-12)
         np.testing.assert_allclose(stderr, 0.0, atol=1e-10)

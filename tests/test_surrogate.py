@@ -41,6 +41,7 @@ class TestIaaft:
         t = np.arange(4096)
         x = np.sin(2 * np.pi * 8 * t / 4096)
         result = iaaft(x, IaaftConfig(rng_seed=6))
+        assert result.stop_reason == "fixed_point"
         assert result.iterations <= 5
         assert result.spectrum_residual <= 1e-8
         assert spectrum_residual(result.values, x) <= 1e-8
@@ -51,6 +52,32 @@ class TestIaaft:
         assert np.sort(result.values).tobytes() == np.sort(x).tobytes()
         assert result.values.mean() == pytest.approx(x.mean(), rel=1e-12)
         assert result.values.var() == pytest.approx(x.var(), rel=1e-12)
+
+    def test_stop_rules_have_no_knob(self):
+        with pytest.raises(TypeError):
+            IaaftConfig(spectrum_tolerance=1e-3)
+
+    def test_lone_spike_is_fixed_point(self):
+        # any shifted spike has the source spectrum: the first rank-adjusted
+        # iterate is a fixed point, with the values the tolerance knob gave
+        x = np.zeros(64)
+        x[5] = 1.0
+        result = iaaft(x, IaaftConfig(rng_seed=3))
+        assert hashlib.sha256(result.values.tobytes()).hexdigest() == (
+            "d7e60215eca966ba1f445a31bd4e381726563db4e7c634481a941b2ebe3bcbe2")
+        assert (result.iterations, result.stop_reason) == (1, "fixed_point")
+        assert repr(result.spectrum_residual) == "1.7286149049089938e-16"
+
+    @pytest.mark.parametrize("cap, stop", [(1000, "fixed_point"), (5, "max_iterations")])
+    def test_residual_is_that_of_returned_values(self, cap, stop):
+        from scipy import fft
+
+        x = gaussian_white_noise(993, 47)
+        result = iaaft(x, IaaftConfig(max_iterations=cap, rng_seed=48))
+        assert result.stop_reason == stop
+        target = np.abs(fft.rfft(x))
+        residual = np.linalg.norm(np.abs(fft.rfft(result.values)) - target) / np.linalg.norm(target)
+        assert result.spectrum_residual == float(residual)
 
     def test_constant_series(self):
         with pytest.raises(ConstantSeries):
