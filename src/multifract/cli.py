@@ -192,8 +192,21 @@ def _write_table(path, header, columns, fmt="%.17g"):
 
 def _fingerprint(cfg):
     if cfg.input_path:
-        return hashlib.sha256(Path(cfg.input_path).read_bytes()).hexdigest()
+        # read in chunks: a run holds no second copy of its input
+        digest = hashlib.sha256()
+        with open(cfg.input_path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        return digest.hexdigest()
     return hashlib.sha256(cfg.synth_spec.encode()).hexdigest()
+
+
+def _write_manifest(out, cfg, config, timings, **extra):
+    """out/manifest.json: the run's version, config, input fingerprint,
+    timings_s and any extra blocks, outside the numeric artifacts."""
+    manifest = {"version": __version__, "config": config,
+                "input_fingerprint": _fingerprint(cfg), "timings_s": timings, **extra}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def analyze_observed(values, acfgs, out, timings):
@@ -268,19 +281,13 @@ def run_pipeline(cfg):
                     f"exceeds alpha {cfg.alpha_level}"] if size > cfg.alpha_level else []
         for message in warnings:
             print(f"warning: {message}", file=sys.stderr)
-        manifest = {
-            "version": __version__,
-            "config": vars(cfg),
-            "seeds": {"base": cfg.seed,
-                      "members": [int(derive_seed(cfg.seed, i))
-                                  for i in range(min(cfg.surrogates, 16))]},
-            "input_fingerprint": _fingerprint(cfg),
-            "timings_s": timings,
-            "iaaft": _iaaft_summary(diagnostics),
-            "width_test_size": size,
-            "warnings": warnings,
-        }
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        _write_manifest(out, cfg, vars(cfg), timings,
+                        seeds={"base": cfg.seed,
+                               "members": [int(derive_seed(cfg.seed, i))
+                                           for i in range(min(cfg.surrogates, 16))]},
+                        iaaft=_iaaft_summary(diagnostics),
+                        width_test_size=size,
+                        warnings=warnings)
         marker.unlink()
     except BaseException:
         marker.write_text("run did not complete\n")
@@ -414,10 +421,17 @@ def _cmd_analyze(args):
 
 def _cmd_spectrum(args):
     cfg = _run_config_from_args(args)
+    t0 = time.perf_counter()
     values, label = load_returns(cfg)
+    timings = {"load": time.perf_counter() - t0}
     acfgs = [cfg.analysis_config(order) for order in cfg.detrend_orders]
-    for order, spectrum in zip(cfg.detrend_orders,
-                               analyze_observed(values, acfgs, Path(cfg.out_dir), {})):
+    out = Path(cfg.out_dir)
+    spectra = analyze_observed(values, acfgs, out, timings)
+    # spectrum has no ensemble: its manifest records only the fields it uses
+    _write_manifest(out, cfg, {key: value for key, value in vars(cfg).items()
+                               if key not in ("surrogates", "seed", "alpha_level", "workers")},
+                    timings)
+    for order, spectrum in zip(cfg.detrend_orders, spectra):
         print(f"{label} l={order}: H(2)={spectrum.H[np.argmin(np.abs(spectrum.q_grid - 2)) ]:.4f} "
               f"delta_alpha={spectrum.delta_alpha:.4f} delta_f={spectrum.delta_f:.4f}")
     return EXIT_OK

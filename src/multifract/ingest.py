@@ -3,8 +3,10 @@
 import csv
 import logging
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, datetime
+from itertools import islice
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
+PLAIN_CELLS = 1 << 17  # cells a block of _read_plain splits at once
+_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,17 @@ def load_price_csv(path, date_col, value_col, label=None):
     (holiday gaps in real exports). Unparseable or non-positive prices,
     out-of-order dates, fields past csv's size limit and bytes that are
     not UTF-8 raise with the offending 1-based line number.
+
+    The body's plain blocks are parsed column-wise by _read_plain, up to
+    the first block in doubt; the row loop, _read_rows, reads on from
+    there, so it reads every fault and every other file.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             sample = fh.read(4096)
             fh.seek(0)
-            reader = csv.reader(fh, delimiter=_detect_delimiter(sample))
+            delimiter = _detect_delimiter(sample)
+            reader = csv.reader(fh, delimiter=delimiter)
             # as csv.DictReader: the header is the first physical row and
             # the last of duplicate column names wins
             header = next(reader, None)
@@ -123,39 +132,113 @@ def load_price_csv(path, date_col, value_col, label=None):
                 if col not in columns:
                     raise MalformedRow(1, f"missing column {col!r}")
             date_at, value_at = columns[date_col], columns[value_col]
-
-            dates, values = [], []
-            for row in reader:
-                if not row:
-                    continue
-                lineno = reader.line_num
-                # a short row's missing cells read as empty
-                raw_date = row[date_at].strip() if date_at < len(row) else ""
-                raw_value = row[value_at].strip() if value_at < len(row) else ""
-                if not raw_date and not raw_value:
-                    log.warning("%s: skipping blank row at line %d", path, lineno)
-                    continue
-                if not raw_date or not raw_value:
-                    log.warning("%s: skipping incomplete row at line %d", path, lineno)
-                    continue
-                parsed_date = _parse_date(raw_date)
-                if parsed_date is None:
-                    raise MalformedRow(lineno, f"bad date {raw_date!r}")
-                price = _parse_price(raw_value)
-                if price is None:
-                    raise MalformedRow(lineno, f"bad price {raw_value!r}")
-                if price <= 0:
-                    raise NonPositivePrice(lineno)
-                if dates and parsed_date <= dates[-1]:
-                    raise NonMonotoneDates(lineno)
-                dates.append(parsed_date)
-                values.append(price)
+            dates, values, read = [], np.empty(0), 0
+            if reader.line_num == 1:  # a one-line header: the body starts at line 2
+                dates, values, read = _read_plain(
+                    path, delimiter, len(header), date_at, value_at)
+            if read is not None:
+                # the row loop reads on from the first line _read_plain left
+                next(islice(reader, read, read), None)
+                dates, values = _read_rows(
+                    path, reader, date_at, value_at, dates, values.tolist())
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, str(exc)) from None
     except UnicodeDecodeError as exc:
         raise MalformedRow(_undecodable_line(path), f"not UTF-8: {exc.reason}") from None
 
-    return PriceSeries(tuple(dates), np.array(values), label or str(path))
+    return PriceSeries(tuple(dates), values, label or str(path))
+
+
+def _read_rows(path, reader, date_at, value_at, dates, values):
+    """Dates and prices of the rows left in reader, one row at a time, after
+    those in dates and values: the only source of the loader's warnings and
+    line-numbered errors."""
+    for row in reader:
+        if not row:
+            continue
+        lineno = reader.line_num
+        # a short row's missing cells read as empty
+        raw_date = row[date_at].strip() if date_at < len(row) else ""
+        raw_value = row[value_at].strip() if value_at < len(row) else ""
+        if not raw_date and not raw_value:
+            log.warning("%s: skipping blank row at line %d", path, lineno)
+            continue
+        if not raw_date or not raw_value:
+            log.warning("%s: skipping incomplete row at line %d", path, lineno)
+            continue
+        parsed_date = _parse_date(raw_date)
+        if parsed_date is None:
+            raise MalformedRow(lineno, f"bad date {raw_date!r}")
+        price = _parse_price(raw_value)
+        if price is None:
+            raise MalformedRow(lineno, f"bad price {raw_value!r}")
+        if price <= 0:
+            raise NonPositivePrice(lineno)
+        if dates and parsed_date <= dates[-1]:
+            raise NonMonotoneDates(lineno)
+        dates.append(parsed_date)
+        values.append(price)
+    return dates, np.array(values)
+
+
+def _read_plain(path, delimiter, ncols, date_at, value_at):
+    """Dates and prices of the body under a one-line header, parsed
+    column-wise in blocks of PLAIN_CELLS cells up to the first block the row
+    loop might read otherwise, and the number of lines they span, or None
+    if they are the whole body. So it never raises and warns of nothing.
+    Dates stay datetime64 until the last block is read, so the date objects
+    are made once each block's cells are freed, not in among them."""
+    blocks = [(np.empty(0, "datetime64[D]"), np.empty(0))]
+    read = 0
+    with open(path, "rb") as fh:
+        if b"\r" in fh.readline():
+            return [], np.empty(0), 0
+        while block := b"".join(islice(fh, max(1, PLAIN_CELLS // ncols))):
+            parsed = _parse_plain_block(block, delimiter, ncols, date_at, value_at)
+            if parsed is None:
+                break
+            blocks.append(parsed)
+            read += block.count(b"\n")
+        else:
+            read = None
+    days, prices = (np.concatenate(column) for column in zip(*blocks))
+    # strictly increasing, and from year 1 as date has them; else the row
+    # loop reads the body from its start and finds the fault
+    if (days[:1] < np.datetime64("0001-01-01")).any() or (days[1:] <= days[:-1]).any():
+        return [], np.empty(0), 0
+    return days.tolist(), prices, read
+
+
+def _parse_plain_block(block, delimiter, ncols, date_at, value_at):
+    """A block's dates (datetime64[D]) and prices, or None unless it has no
+    quote, CR or NUL, each line has ncols - 1 delimiters and fits csv's
+    field limit, each date is ASCII YYYY-MM-DD and each price is a finite
+    float() > 0. Only the last line may lack its newline, and empty lines
+    are dropped, as the row loop skips them without a word."""
+    block = block if block.endswith(b"\n") else block + b"\n"
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    if block.startswith(b"\n") or b"\n\n" in block:
+        block = re.sub(rb"\n+", b"\n", block).lstrip(b"\n")
+    buf = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    cuts = np.searchsorted(np.flatnonzero(buf == ord(delimiter)), ends)
+    if (np.diff(cuts, prepend=0) != ncols - 1).any() or \
+            (np.diff(ends, prepend=-1) > csv.field_size_limit() + 1).any():
+        return None
+    try:
+        cells = block.decode().replace("\n", delimiter).split(delimiter)
+        raw = cells[date_at:-1:ncols]
+        iso = np.frombuffer("".join(raw).encode("ascii"), np.uint8).reshape(-1, 10)
+        days = np.array(raw, dtype="datetime64[D]")
+        prices = np.array(cells[value_at:-1:ncols], dtype=float)
+    except ValueError:  # not UTF-8, or a cell ASCII or numpy rejects
+        return None
+    if set(map(len, raw)) - {10} or (iso[:, [4, 7]] != ord("-")).any() or \
+            (iso[:, _ISO_DIGITS] - ord("0") > 9).any() or \
+            not ((prices > 0) & (prices < np.inf)).all():
+        return None
+    return days, prices
 
 
 def log_returns(prices):

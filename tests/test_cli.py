@@ -269,6 +269,29 @@ class TestSpectrumCommand:
         assert (out / "spectrum_l1.tsv").exists()
         assert "H(2)=" in capsys.readouterr().out
 
+    def test_manifest_times_the_load(self, tmp_path, capsys):
+        path = tmp_path / "prices.csv"
+        assert main(["synth", "--kind", "noise", "--n", "2048", "--seed", "4",
+                     "--out", str(path)]) == EXIT_OK
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--input", str(path), "--s-min", "10", "--s-max", "256",
+                     "--detrend-order", "1", "--detrend-order", "2",
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["timings_s"]) == {"load", "mfdfa_l1", "mfdfa_l2"}
+        assert manifest["timings_s"]["load"] > 0
+        assert manifest["input_fingerprint"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert manifest["config"]["input_path"] == str(path)
+        assert manifest["config"]["detrend_orders"] == [1, 2]
+        assert not {"surrogates", "seed", "alpha_level", "workers"} & set(manifest["config"])
+        assert manifest["version"] == cli.__version__
+
+    def test_fingerprint_hashes_the_whole_file(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_bytes(bytes(range(256)) * 10_000)  # 2.56 MB, past one read
+        assert cli._fingerprint(cli.RunConfig(input_path=str(path))) == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])

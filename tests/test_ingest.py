@@ -1,12 +1,16 @@
 import hashlib
+import logging
 import math
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multifract import ingest
+from multifract.cli import EXIT_DATA, EXIT_OK, main
 from multifract.errors import (
     DataError,
     MalformedRow,
@@ -222,6 +226,192 @@ class TestParserFastPaths:
     @example("\xa0٣")
     def test_parse_price_matches_cleaned_float(self, text):
         assert repr(_parse_price(text)) == repr(cleaned_price(text))
+
+
+def outcome(path):
+    """What loading path gives: its dates, value bytes and label, or its
+    error's type, line and message; and each warning's message."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("multifract.ingest")
+    logger.addHandler(handler)
+    try:
+        series = load_price_csv(path, "date", "value")
+        result = (series.dates, series.values.tobytes(), series.label)
+    except DataError as exc:
+        result = (type(exc), getattr(exc, "line_number", None), str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, [record.getMessage() for record in records]
+
+
+def row_loop_outcome(path):
+    """outcome(path) with the column-wise path turned away, so the row loop
+    reads every row: the reference the column-wise path must match."""
+    with mock.patch.object(ingest, "_read_plain", return_value=([], np.empty(0), 0)):
+        return outcome(path)
+
+
+ROW_QUIRKS = ["pad", "quote", "thousands", "blank", "empty", "short",
+              "long", "year0", "feb29_1900", "feb29_2000", "underscore", "nan", "inf",
+              "zero", "negative", "repeat", "dmy", "no_value"]
+
+
+@st.composite
+def near_plain_csv(draw):
+    """Price files that are plain, or carry quirks the row loop warns of,
+    rejects or reads its own way: the sniffer's delimiters, extra columns,
+    padded and quoted cells, CRLF, blank and short rows, year 0000, Feb 29
+    in 1900 and 2000, 1_000, nan, inf, zero and negative prices, repeated
+    dates and a missing final newline."""
+    delim = draw(st.sampled_from([",", ";", "\t"]))
+    names = draw(st.permutations(["date", "value"] + ["note", "open"][:draw(st.integers(0, 2))]))
+    # at most two quirky rows, so the rest of the file stays plain
+    quirks = dict(draw(st.lists(st.tuples(st.integers(0, 11), st.sampled_from(ROW_QUIRKS)),
+                                max_size=2)))
+    day = date(1899, 12, 25) + timedelta(days=draw(st.integers(0, 40_000)))
+    lines = [delim.join(names)]
+    for i in range(draw(st.integers(0, 12))):
+        quirk = quirks.get(i)
+        if quirk != "repeat":
+            day += timedelta(days=draw(st.integers(1, 3)))
+        price = draw(st.floats(1e-3, 1e6))
+        cells = {"date": day.isoformat(),
+                 "value": draw(st.sampled_from(["{!r}", "{:.17g}", "{:.2f}", "{:e}"])).format(price),
+                 "note": draw(st.sampled_from(["", "a", "n/a", "é"])), "open": "1"}
+        cells.update({
+            "pad": {"value": f" {cells['value']} ", "date": f"{cells['date']} "},
+            "quote": {"date": f'"{cells["date"]}"'},
+            "thousands": {"value": '"1,234.5"'},
+            "year0": {"date": "0000-01-01"},
+            "feb29_1900": {"date": "1900-02-29"},
+            "feb29_2000": {"date": "2000-02-29"},
+            "underscore": {"value": "1_000"},
+            "nan": {"value": "nan"}, "inf": {"value": "inf"},
+            "zero": {"value": "0"}, "negative": {"value": "-1.5"},
+            "dmy": {"date": day.strftime("%d/%m/%Y")},
+            "no_value": {"value": ""},
+        }.get(quirk, {}))
+        row = [cells[name] for name in names]
+        row = {"blank": [], "empty": [""] * len(row), "short": row[:-1],
+               "long": row + ["x"]}.get(quirk, row)
+        lines.append(delim.join(row))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+class TestColumnWisePath:
+    # a small PLAIN_CELLS puts block edges, and the row loop's resumption at
+    # the first block in doubt, among the rows of a short file
+    @settings(max_examples=400, deadline=None)
+    @given(text=near_plain_csv(), cells=st.sampled_from([1, 2, 5, 8, ingest.PLAIN_CELLS]))
+    @example(text="date,value\n2000-01-03,100\n2000-01-04,101", cells=1)
+    @example(text="date;value;note\n0000-01-01;1;a\n0001-01-01;2;b\n", cells=3)
+    @example(text="date,value\n1900-02-28,1\n1900-02-29,2\n", cells=2)
+    @example(text="date,value\n2000-01-03,1\n2000-01-03,2\n", cells=2)
+    @example(text="date,value\n2000-01-03,1\n2000-01-04,2\n2000-01-04,\n2000-01-04,3\n", cells=4)
+    @example(text="date,value\n2000-01-03,1_000\n2000-01-04,1e2\n", cells=ingest.PLAIN_CELLS)
+    def test_matches_the_row_loop(self, tmp_path_factory, text, cells):
+        path = tmp_path_factory.mktemp("csv") / "prices.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(ingest, "PLAIN_CELLS", cells):
+            assert outcome(path) == row_loop_outcome(path)
+
+    def test_plain_file_skips_the_row_loop_across_blocks(self, tmp_path):
+        path = long_csv(tmp_path)
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError):
+            result = outcome(path)
+        assert len(result[0][0]) == 70_000
+        assert result == row_loop_outcome(path)
+
+    def test_empty_lines_stay_on_the_column_wise_path(self, tmp_path):
+        # the row loop skips them without a warning, so no doubt arises
+        path = long_csv(tmp_path)
+        text = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(text[:50_000] + ["\n"] + text[50_000:] + ["\n", "\n"]))
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError):
+            result = outcome(path)
+        assert result == row_loop_outcome(path) and len(result[0][0]) == 70_000
+
+    def test_row_loop_reads_on_from_the_first_block_in_doubt(self, tmp_path):
+        # an empty price, which the row loop warns of, in the second block
+        path = long_csv(tmp_path, "value", 60_000, "")
+        entries = []
+
+        def read_rows(path, reader, date_at, value_at, dates, values):
+            entries.append((reader.line_num, len(dates), len(values)))
+            return real_read_rows(path, reader, date_at, value_at, dates, values)
+
+        real_read_rows = ingest._read_rows
+        with mock.patch.object(ingest, "_read_rows", read_rows):
+            result = outcome(path)
+        first_block = ingest.PLAIN_CELLS // 3
+        assert entries == [(1 + first_block, first_block, first_block)]
+        assert result == row_loop_outcome(path)
+        assert result[1] == [f"{path}: skipping incomplete row at line 60001"]
+
+    def test_block_is_bounded_in_cells(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("date,a,b,c,value,d,e\n" + "".join(
+            f"{np.datetime64('1900-01-01') + i},1,2,3,{100 + i % 7},5,6\n" for i in range(50_000)))
+        cells = []
+        real_parse = ingest._parse_plain_block
+
+        def parse(block, delimiter, ncols, *columns):
+            cells.append(block.count(b"\n") * ncols)
+            return real_parse(block, delimiter, ncols, *columns)
+
+        with mock.patch.object(ingest, "_parse_plain_block", parse):
+            assert len(load_price_csv(path, "date", "value")) == 50_000
+        assert len(cells) == 3 and max(cells) <= ingest.PLAIN_CELLS
+
+
+def long_csv(tmp_path, column=None, row=None, text=None):
+    """A 70,000-row date,value,note file, two blocks of the column-wise path,
+    with the cell of 1-based data row `row` in `column` set to `text`."""
+    days = (np.datetime64("1800-01-01") + np.arange(70_000)).astype(str)
+    cells = {"date": days.tolist(),
+             "value": [f"{100 + (i % 997) / 7:.17g}" for i in range(70_000)],
+             "note": ["n"] * 70_000}
+    if column:
+        cells[column][row - 1] = text
+    path = tmp_path / "long.csv"
+    path.write_text("date,value,note\n" + "".join(
+        f"{d},{v},{n}\n" for d, v, n in zip(*cells.values())), encoding="utf-8")
+    return path
+
+
+class TestBlockFaults:
+    # each fault sits where a block-wise reader could miss it: in the second
+    # block, on the row that starts it, on the last row, or in a column the
+    # loader never reads
+    @pytest.mark.parametrize("column, row, text, error, line", [
+        ("value", 66_000, "-2.5", NonPositivePrice, 66_001),
+        ("date", 65_537, "1979-06-07", NonMonotoneDates, 65_538),
+        # the first row of the second block repeats the last date of the first
+        ("date", ingest.PLAIN_CELLS // 3 + 1,
+         str(np.datetime64("1800-01-01") + ingest.PLAIN_CELLS // 3 - 1),
+         NonMonotoneDates, ingest.PLAIN_CELLS // 3 + 2),
+        ("date", 70_000, "1991-02-29", MalformedRow, 70_001),
+        ("note", 68_000, "9" * 131_100, MalformedRow, 68_001),
+    ], ids=["price_in_second_block", "repeated_date", "date_across_blocks", "bad_last_date",
+         "long_field"])
+    def test_fault_line_and_exit_code(self, tmp_path, column, row, text, error, line):
+        path = long_csv(tmp_path, column, row, text)
+        with pytest.raises(error) as exc:
+            load_price_csv(path, "date", "value")
+        assert type(exc.value) is error and exc.value.line_number == line
+        assert main(["spectrum", "--input", str(path), "--out", str(tmp_path / "r")]) == EXIT_DATA
+
+    def test_nul_in_unused_column(self, tmp_path):
+        # csv reads NUL as a character since Python 3.11 and rejected it
+        # before, so the expected result is the row loop's
+        path = long_csv(tmp_path, "note", 40_000, "\x00")
+        reference = row_loop_outcome(path)
+        assert outcome(path) == reference
+        code = EXIT_DATA if isinstance(reference[0][0], type) else EXIT_OK
+        assert main(["spectrum", "--input", str(path), "--out", str(tmp_path / "r")]) == code
 
 
 class TestLogReturns:
