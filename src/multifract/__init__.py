@@ -1,5 +1,10 @@
 """MF-DFA multifractality analysis with IAAFT surrogate hypothesis tests."""
 
+import os
+
+# before numpy loads OpenBLAS, whose threads the box fits never use (BOX_BLOCK)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .ingest import PriceSeries, ReturnSeries, load_price_csv, log_returns

@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -159,8 +158,9 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     if workers == 1:
         members = list(map(member, seeds))
     else:
-        # loaded before the fork, so each worker inherits it instead of
-        # paying for the import itself
+        # no multiprocessing without a pool; scipy.fft before the fork, so
+        # each worker inherits it instead of paying for the import itself
+        from concurrent.futures import ProcessPoolExecutor
         import scipy.fft  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             members = list(pool.map(member, seeds, chunksize=8))

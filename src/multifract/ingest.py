@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
 PLAIN_CELLS = 1 << 17  # cells a block of _read_plain splits at once
+READ_CHUNK = 1 << 16  # bytes read at once; freed 1 MiB reads raised malloc's mmap threshold
 _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 
 
@@ -193,7 +194,7 @@ def _read_plain(path, delimiter, ncols, date_at, value_at):
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():
             return [], np.empty(0), 0
-        while block := b"".join(islice(fh, max(1, PLAIN_CELLS // ncols))):
+        for block in _line_blocks(fh, max(1, PLAIN_CELLS // ncols)):
             parsed = _parse_plain_block(block, delimiter, ncols, date_at, value_at)
             if parsed is None:
                 break
@@ -207,6 +208,22 @@ def _read_plain(path, delimiter, ncols, date_at, value_at):
     if (days[:1] < np.datetime64("0001-01-01")).any() or (days[1:] <= days[:-1]).any():
         return [], np.empty(0), 0
     return days.tolist(), prices, read
+
+
+def _line_blocks(fh, lines):
+    """The blocks b"".join(islice(fh, lines)) gives until fh is spent, cut
+    from reads of READ_CHUNK bytes, so no bytes object is made per line."""
+    parts, held = [], 0  # the block so far and its newlines, < lines
+    while chunk := fh.read(READ_CHUNK):
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
+        cuts = [0, *ends[lines - held - 1::lines].tolist()]
+        for start, end in zip(cuts, cuts[1:]):
+            yield b"".join([*parts, chunk[start:end]])
+            parts = []
+        parts.append(chunk[cuts[-1]:])
+        held = (held + len(ends)) % lines
+    if block := b"".join(parts):
+        yield block
 
 
 def _parse_plain_block(block, delimiter, ncols, date_at, value_at):

@@ -61,7 +61,8 @@ def default_scale_grid(s_min=20, s_max=316, count=30):
     if s_max < s_min:
         raise ValueError(f"scales {s_min}..{s_max}: s max {s_max} is below s min {s_min}")
     grid = np.exp(np.linspace(np.log(s_min), np.log(s_max), count))
-    grid = np.unique(np.round(grid).astype(int))
+    # np.unique would import numpy.ma, ~10 ms of every run's start-up
+    grid = np.array(sorted(set(np.round(grid).astype(int).tolist())))
     if len(grid) < count:
         raise ValueError(f"scales {s_min}..{s_max} round to {len(grid)} "
                          f"distinct integers, fewer than s count {count}")
@@ -149,16 +150,24 @@ def make_profile(returns):
     return Profile(np.cumsum(values))
 
 
-def _segments(values, s):
-    """The boxes of length s as a (k, s) array: the forward pass alone when
-    s divides n, else floor(n/s) boxes from each end of the series."""
+def _box_blocks(values, s):
+    """floor(n/s) boxes of length s from the start of values and, unless s
+    divides n, as many from its end, in row blocks of at most BOX_BLOCK
+    values: views of values but the block that straddles the two passes."""
     n = len(values)
     n_boxes = n // s
     forward = values[: n_boxes * s].reshape(n_boxes, s)
-    if n_boxes * s == n:
-        return forward
     backward = values[n - n_boxes * s:].reshape(n_boxes, s)
-    return np.concatenate([forward, backward])
+    k = n_boxes if n_boxes * s == n else 2 * n_boxes
+    rows = max(BOX_BLOCK // s, 1)
+    for i in range(0, k, rows):
+        j = min(i + rows, k)
+        if j <= n_boxes:
+            yield forward[i:j]
+        elif i >= n_boxes:
+            yield backward[i - n_boxes:j - n_boxes]
+        else:
+            yield np.concatenate([forward[i:], backward[:j - n_boxes]])
 
 
 @cache
@@ -196,10 +205,8 @@ def _box_fluctuations(values, s, order):
     """Local fluctuation of every box of length s, fitted in row blocks of
     at most BOX_BLOCK values, so a box's result depends on its block's
     values, not on the length of the series."""
-    segments = _segments(values, s)
-    rows = max(BOX_BLOCK // s, 1)
-    return np.concatenate([local_fluctuation(detrend_segment(segments[i:i + rows], order))
-                           for i in range(0, len(segments), rows)])
+    return np.concatenate([local_fluctuation(detrend_segment(block, order))
+                           for block in _box_blocks(values, s)])
 
 
 def _power_means(log_fv, q_grid):
@@ -212,7 +219,9 @@ def _power_means(log_fv, q_grid):
     # log-domain power mean: peak-shifted with expm1/log1p so the result
     # degrades gracefully into the geometric mean as q -> 0
     scaled = q_grid[:, None] * log_fv[None, :]
-    peak = scaled.max(axis=1)
+    # each row's max: rounding is monotone, so q*x never falls as x rises for
+    # q >= 0 and never rises for q < 0: q*max(log_fv) or q*min(log_fv), bitwise
+    peak = q_grid * np.where(q_grid >= 0, log_fv.max(), log_fv.min())
     # in place, so the products are the only (n_q, k) temporary
     np.subtract(scaled, peak[:, None], out=scaled)
     log_means = np.log1p(np.expm1(scaled, out=scaled).mean(axis=1))

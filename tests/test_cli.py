@@ -485,23 +485,54 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
     @staticmethod
-    def assert_loads_no_scipy(call, *args):
+    def assert_loads_no(package, call, *args):
         # scipy.special loads inside quadratic_tau_fit and scipy.fft inside
-        # iaaft, so a run that reaches neither loads no scipy module at all
+        # iaaft, so a run that reaches neither loads no scipy module at all;
+        # multiprocessing loads only with a pool of workers, and numpy.ma
+        # with np.unique, which the scale grid does without
         code = (f"import sys, multifract.cli as cli; {call}; "
-                "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                f"loaded = [m for m in sys.modules if (m + '.').startswith({package + '.'!r})]; "
                 "assert not loaded, loaded")
         src = str(Path(cli.__file__).resolve().parents[1])
         subprocess.run([sys.executable, "-c", code, *args], check=True,
                        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL)
 
     def test_import_does_not_load_scipy_fft(self):
-        self.assert_loads_no_scipy("cli.build_parser()")
+        self.assert_loads_no("scipy", "cli.build_parser()")
 
     def test_spectrum_loads_no_scipy(self, tmp_path):
-        self.assert_loads_no_scipy(
+        self.assert_loads_no(
+            "scipy",
             "assert cli.main(['spectrum', '--synth', 'noise:n=4096', '--out', sys.argv[1]]) == 0",
             str(tmp_path / "r"))
+
+    @pytest.mark.parametrize("call", [
+        "cli.build_parser()",
+        "assert cli.main(['spectrum', '--synth', 'noise:n=4096', '--out', sys.argv[1]]) == 0",
+        "assert cli.main(['analyze', '--synth', 'noise:n=2048', '--surrogates', '4', "
+        "'--workers', '1', '--out', sys.argv[1]]) == 0",
+    ], ids=["parser", "spectrum", "analyze_one_worker"])
+    def test_run_without_a_pool_loads_no_multiprocessing(self, tmp_path, call):
+        self.assert_loads_no("multiprocessing", call, str(tmp_path / "r"))
+
+    def test_spectrum_loads_no_numpy_ma(self, tmp_path):
+        self.assert_loads_no(
+            "numpy.ma",
+            "assert cli.main(['spectrum', '--synth', 'noise:n=4096', '--out', sys.argv[1]]) == 0",
+            str(tmp_path / "r"))
+
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")])
+    def test_openblas_defaults_to_one_thread(self, preset, threads):
+        # set on import of the package, before numpy loads OpenBLAS; a
+        # caller's own setting is kept
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        code = "import os, multifract; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == threads
 
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])
     def test_q_max_below_q_min_names_both_bounds(self, tmp_path, capsys, command):

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import logging
 import math
 from datetime import date, datetime, timedelta
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -365,6 +367,40 @@ class TestColumnWisePath:
         with mock.patch.object(ingest, "_parse_plain_block", parse):
             assert len(load_price_csv(path, "date", "value")) == 50_000
         assert len(cells) == 3 and max(cells) <= ingest.PLAIN_CELLS
+
+
+def islice_blocks(body, lines):
+    fh = io.BytesIO(body)
+    return list(iter(lambda: b"".join(islice(fh, lines)), b""))
+
+
+class TestLineBlocks:
+    # the chunked reader cuts the body where islice would, whatever the
+    # chunk size: chunk edges on and off newlines, lines longer than a
+    # chunk, blocks of one line, empty lines and no final newline
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.binary(max_size=12).map(lambda line: line.replace(b"\n", b"")),
+                          max_size=20),
+           final_newline=st.booleans(), per_block=st.integers(1, 6), chunk=st.integers(1, 16))
+    @example(lines=[], final_newline=False, per_block=1, chunk=4)
+    @example(lines=[b""], final_newline=True, per_block=2, chunk=1)
+    @example(lines=[b"abc", b"def"], final_newline=True, per_block=1, chunk=4)
+    @example(lines=[b"abc", b"def"], final_newline=False, per_block=2, chunk=4)
+    @example(lines=[b"a" * 12, b"b"], final_newline=True, per_block=1, chunk=3)
+    @example(lines=[b"a" * 12, b"", b"c" * 7], final_newline=False, per_block=2, chunk=5)
+    def test_yields_the_islice_blocks(self, lines, final_newline, per_block, chunk):
+        body = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
+        with mock.patch.object(ingest, "READ_CHUNK", chunk):
+            blocks = list(ingest._line_blocks(io.BytesIO(body), per_block))
+        assert blocks == islice_blocks(body, per_block)
+
+    def test_long_file_at_the_real_chunk_size(self, tmp_path):
+        body = long_csv(tmp_path).read_bytes()
+        lines = ingest.PLAIN_CELLS // 3
+        with open(tmp_path / "long.csv", "rb") as fh:
+            blocks = list(ingest._line_blocks(fh, lines))
+        assert len(body) > ingest.READ_CHUNK and len(blocks) == 2
+        assert blocks == islice_blocks(body, lines)
 
 
 def long_csv(tmp_path, column=None, row=None, text=None):

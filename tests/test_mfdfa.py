@@ -31,9 +31,9 @@ from multifract.mfdfa import (
     local_fluctuation,
     make_profile,
     mass_exponents,
+    _box_blocks,
     _box_fluctuations,
     _design_basis,
-    _segments,
     overall_fluctuation,
     singularity_spectrum,
 )
@@ -58,6 +58,13 @@ class TestConfig:
         grid = default_scale_grid()
         assert np.issubdtype(grid.dtype, np.integer)
         assert len(np.unique(grid)) == len(grid)
+
+    @pytest.mark.parametrize("bounds", [(20, 316, 30), (4, 64, 10), (10, 1000, 50), (16, 16, 1)])
+    def test_scale_grid_matches_np_unique(self, bounds):
+        s_min, s_max, count = bounds
+        rounded = np.round(np.exp(np.linspace(np.log(s_min), np.log(s_max), count))).astype(int)
+        grid = default_scale_grid(*bounds)
+        assert grid.dtype == rounded.dtype and np.array_equal(grid, np.unique(rounded))
 
     def test_q_grid_needs_4_points(self):
         with pytest.raises(ValueError, match="3 points, fewer than the 4 points"):
@@ -122,8 +129,12 @@ class TestMakeProfile:
             make_profile(returns)
 
 
+def segments(n, s):
+    return np.concatenate(list(_box_blocks(np.arange(n), s)))
+
+
 def box_starts(n, s):
-    return _segments(np.arange(n), s)[:, 0].tolist()
+    return segments(n, s)[:, 0].tolist()
 
 
 class TestPartition:
@@ -135,7 +146,7 @@ class TestPartition:
 
     def test_window_lengths_and_count(self):
         for n, s in [(100, 7), (64, 8), (1000, 33)]:
-            boxes = _segments(np.arange(n), s)
+            boxes = segments(n, s)
             expected = n // s if n % s == 0 else 2 * (n // s)
             assert boxes.shape == (expected, s)
             # each box is a run of s consecutive points of the series
@@ -231,6 +242,56 @@ class TestOverallFluctuation:
     def test_power_mean_monotone_in_q(self, locals_, q1, q2):
         lo, hi = sorted((q1, q2))
         assert overall_fluctuation(locals_, lo) <= overall_fluctuation(locals_, hi) * (1 + 1e-9)
+
+
+def row_max_power_means(log_fv, q_grid):
+    """_power_means as it was, with each row's peak taken over the whole
+    (n_q, k) product: the reference the peak from the extremes must match."""
+    q_grid = np.asarray(q_grid, dtype=float)
+    zero_q = np.abs(q_grid) <= 1e-8
+    scaled = q_grid[:, None] * log_fv[None, :]
+    peak = scaled.max(axis=1)
+    np.subtract(scaled, peak[:, None], out=scaled)
+    log_means = np.log1p(np.expm1(scaled, out=scaled).mean(axis=1))
+    means = np.exp((peak + log_means) / np.where(zero_q, 1.0, q_grid))
+    means[zero_q] = np.exp(np.mean(log_fv))
+    return means
+
+
+class TestPowerMeanPeak:
+    GRIDS = [default_q_grid(), default_q_grid(-5, -0.5, 0.5), default_q_grid(0, 5, 0.5),
+             np.array([-3.0, -5e-324, 0.0, 5e-324, 1e-9, 2.0]), np.array([-0.0, 1.0, 2.0, 7.5])]
+
+    @pytest.mark.parametrize("q_grid", GRIDS, ids=["default", "negative", "positive",
+                                                   "subnormal", "negative_zero"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_row_max(self, q_grid, seed):
+        rng = np.random.default_rng(seed)
+        for fv in (rng.lognormal(0, 2, 5_000), rng.uniform(0.5, 2.0, 3), np.full(4, 1.0),
+                   np.exp(rng.normal(0, 100, 64))):
+            log_fv = np.log(fv)
+            assert mfdfa._power_means(log_fv, q_grid).tobytes() == \
+                row_max_power_means(log_fv, q_grid).tobytes()
+
+    @given(st.lists(st.floats(-700, 700), min_size=1, max_size=30),
+           st.lists(st.floats(-50, 50), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_max_anywhere(self, log_fv, q_grid):
+        log_fv, q_grid = np.array(log_fv), np.array(q_grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = mfdfa._power_means(log_fv, q_grid)
+            old = row_max_power_means(log_fv, q_grid)
+        assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("q", [-2.0, -0.5, 0.0, 1e-9, 0.5, 2.0, 5.0])
+    def test_zero_fluctuation_without_a_floor(self, q):
+        # log 0 is -inf: the peak is -inf's product for q < 0 and the
+        # largest finite one for q > 0, as the row max gives it
+        fv = np.array([0.0, 0.25, 1.0, 3.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = overall_fluctuation(fv, q, floor=0)
+            old = float(row_max_power_means(np.log(fv), [q])[0])
+        assert np.float64(new).tobytes() == np.float64(old).tobytes()
 
 
 class TestSurface:
@@ -334,6 +395,31 @@ class TestBoxBlocks:
         prefix = _box_fluctuations(values[:rows * s], s, order)
         assert len(prefix) == rows
         assert np.array_equal(whole, prefix)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("s", [20, 57, 316, 256])
+    def test_matches_the_concatenated_boxes(self, order, s):
+        # the boxes fitted as views of the profile give, bit for bit, the
+        # fluctuations of both passes copied into one array and then blocked.
+        # At 2^18 the block that straddles the passes holds rows of both for
+        # s = 20, 57 and 316; 256 divides 2^18, so it has no backward pass.
+        values = make_profile(gaussian_white_noise(2 ** 18, 14)).values
+        n_boxes, rows = len(values) // s, BOX_BLOCK // s
+        forward = values[:n_boxes * s].reshape(n_boxes, s)
+        segments = np.concatenate([forward, values[-n_boxes * s:].reshape(n_boxes, s)])
+        if 2 ** 18 % s == 0:
+            segments = forward
+        else:
+            assert n_boxes % rows
+        concatenated = np.concatenate([local_fluctuation(detrend_segment(segments[i:i + rows], order))
+                                       for i in range(0, len(segments), rows)])
+        assert _box_fluctuations(values, s, order).tobytes() == concatenated.tobytes()
+        copies = [block for block in _box_blocks(values, s) if not np.shares_memory(block, values)]
+        assert len(copies) == (0 if 2 ** 18 % s == 0 else 1)
+
+    @pytest.mark.parametrize("s", [20, 32, 316])
+    def test_series_of_32768_fits_each_scale_in_one_block(self, s):
+        assert len(list(_box_blocks(np.arange(2 ** 15, dtype=float), s))) == 1
 
     @pytest.mark.parametrize("n, one_per_scale", [(2 ** 18, False), (2 ** 14, True)])
     def test_every_fit_within_one_block(self, monkeypatch, n, one_per_scale):
