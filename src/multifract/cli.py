@@ -151,7 +151,8 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
 
     Per-member seeds derive from (base_seed, index), so the result is
     independent of worker count and member evaluation order. A pool
-    receives the series once per chunk of 8 members.
+    receives the series once per chunk of 8 members, and has no more
+    workers than chunks.
     """
     seeds = [derive_seed(base_seed, i) for i in range(size)]
     member = partial(_member_spectra, values, acfgs)
@@ -162,7 +163,7 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
         # each worker inherits it instead of paying for the import itself
         from concurrent.futures import ProcessPoolExecutor
         import scipy.fft  # noqa: F401
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, -(-size // 8)) or 1) as pool:
             members = list(pool.map(member, seeds, chunksize=8))
     spectra = [[member[k] for member, _ in members] for k in range(len(acfgs))]
     return spectra, [diagnostics for _, diagnostics in members]

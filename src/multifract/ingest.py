@@ -6,7 +6,6 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
-from itertools import islice
 
 import numpy as np
 
@@ -113,9 +112,9 @@ def load_price_csv(path, date_col, value_col, label=None):
     out-of-order dates, fields past csv's size limit and bytes that are
     not UTF-8 raise with the offending 1-based line number.
 
-    The body's plain blocks are parsed column-wise by _read_plain, up to
-    the first block in doubt; the row loop, _read_rows, reads on from
-    there, so it reads every fault and every other file.
+    A plain body is parsed whole, column-wise, by _read_plain; any other
+    body, or one with a fault, is read by the row loop, _read_rows, from
+    line 2, so every warning and error is the row loop's.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -133,15 +132,10 @@ def load_price_csv(path, date_col, value_col, label=None):
                 if col not in columns:
                     raise MalformedRow(1, f"missing column {col!r}")
             date_at, value_at = columns[date_col], columns[value_col]
-            dates, values, read = [], np.empty(0), 0
-            if reader.line_num == 1:  # a one-line header: the body starts at line 2
-                dates, values, read = _read_plain(
-                    path, delimiter, len(header), date_at, value_at)
-            if read is not None:
-                # the row loop reads on from the first line _read_plain left
-                next(islice(reader, read, read), None)
-                dates, values = _read_rows(
-                    path, reader, date_at, value_at, dates, values.tolist())
+            # a one-line header: the body starts at line 2
+            plain = reader.line_num == 1 and _read_plain(
+                path, delimiter, len(header), date_at, value_at)
+            dates, values = plain or _read_rows(path, reader, date_at, value_at)
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -150,10 +144,10 @@ def load_price_csv(path, date_col, value_col, label=None):
     return PriceSeries(tuple(dates), values, label or str(path))
 
 
-def _read_rows(path, reader, date_at, value_at, dates, values):
-    """Dates and prices of the rows left in reader, one row at a time, after
-    those in dates and values: the only source of the loader's warnings and
-    line-numbered errors."""
+def _read_rows(path, reader, date_at, value_at):
+    """Dates and prices of the rows left in reader, one row at a time: the
+    only source of the loader's warnings and line-numbered errors."""
+    dates, values = [], []
     for row in reader:
         if not row:
             continue
@@ -184,30 +178,24 @@ def _read_rows(path, reader, date_at, value_at, dates, values):
 
 def _read_plain(path, delimiter, ncols, date_at, value_at):
     """Dates and prices of the body under a one-line header, parsed
-    column-wise in blocks of PLAIN_CELLS cells up to the first block the row
-    loop might read otherwise, and the number of lines they span, or None
-    if they are the whole body. So it never raises and warns of nothing.
+    column-wise in blocks of PLAIN_CELLS cells, or None if the row loop
+    might read any of it otherwise. So it never raises and warns of nothing.
     Dates stay datetime64 until the last block is read, so the date objects
     are made once each block's cells are freed, not in among them."""
     blocks = [(np.empty(0, "datetime64[D]"), np.empty(0))]
-    read = 0
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():
-            return [], np.empty(0), 0
+            return None
         for block in _line_blocks(fh, max(1, PLAIN_CELLS // ncols)):
             parsed = _parse_plain_block(block, delimiter, ncols, date_at, value_at)
             if parsed is None:
-                break
+                return None
             blocks.append(parsed)
-            read += block.count(b"\n")
-        else:
-            read = None
     days, prices = (np.concatenate(column) for column in zip(*blocks))
-    # strictly increasing, and from year 1 as date has them; else the row
-    # loop reads the body from its start and finds the fault
+    # strictly increasing, and from year 1 as date has them
     if (days[:1] < np.datetime64("0001-01-01")).any() or (days[1:] <= days[:-1]).any():
-        return [], np.empty(0), 0
-    return days.tolist(), prices, read
+        return None
+    return days.tolist(), prices
 
 
 def _line_blocks(fh, lines):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import importlib.util
 import json
@@ -687,8 +688,8 @@ ENSEMBLE_ARTIFACTS = [
 ]
 
 
-def _pipeline(tmp_path, name, orders, workers=1):
-    cfg = RunConfig(synth_spec="noise:n=2048,seed=8", surrogates=6, seed=11,
+def _pipeline(tmp_path, name, orders, workers=1, surrogates=6):
+    cfg = RunConfig(synth_spec="noise:n=2048,seed=8", surrogates=surrogates, seed=11,
                     s_min=10, s_max=256, s_count=10, detrend_orders=orders,
                     workers=workers, out_dir=str(tmp_path / name))
     run_pipeline(cfg)
@@ -723,6 +724,33 @@ class TestSharedEnsemble:
         for name in names:
             assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
         assert _manifest_iaaft(serial) == _manifest_iaaft(pooled)
+
+    def test_two_worker_pool_matches_serial(self, tmp_path):
+        # 9 members are two chunks of at most 8, so the pool gets 2 workers
+        serial = _pipeline(tmp_path, "serial", (1,), surrogates=9)
+        pooled = _pipeline(tmp_path, "pooled", (1,), workers=2, surrogates=9)
+        for name in ENSEMBLE_ARTIFACTS:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+        assert _manifest_iaaft(serial) == _manifest_iaaft(pooled)
+
+    @pytest.mark.parametrize("size, workers, asked",
+                             [(16, 64, 2), (17, 64, 3), (6, 2, 1), (0, 2, 1)])
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch, size, workers, asked):
+        # the executor forks every worker it is given at the first submit;
+        # the stand-in records the request and starts no process
+        requests = []
+
+        class Refused(Exception):
+            pass
+
+        def stand_in(max_workers):
+            requests.append(max_workers)
+            raise Refused
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", stand_in)
+        with pytest.raises(Refused):
+            cli.ensemble_spectra(np.zeros(4), size, 0, (), workers=workers)
+        assert requests == [asked]
 
     def test_manifest_iaaft_block(self, tmp_path):
         block = _manifest_iaaft(_pipeline(tmp_path, "r", (1, 2)))

@@ -251,7 +251,7 @@ def outcome(path):
 def row_loop_outcome(path):
     """outcome(path) with the column-wise path turned away, so the row loop
     reads every row: the reference the column-wise path must match."""
-    with mock.patch.object(ingest, "_read_plain", return_value=([], np.empty(0), 0)):
+    with mock.patch.object(ingest, "_read_plain", return_value=None):
         return outcome(path)
 
 
@@ -304,8 +304,8 @@ def near_plain_csv(draw):
 
 
 class TestColumnWisePath:
-    # a small PLAIN_CELLS puts block edges, and the row loop's resumption at
-    # the first block in doubt, among the rows of a short file
+    # a small PLAIN_CELLS puts block edges, and a block in doubt after plain
+    # ones, among the rows of a short file
     @settings(max_examples=400, deadline=None)
     @given(text=near_plain_csv(), cells=st.sampled_from([1, 2, 5, 8, ingest.PLAIN_CELLS]))
     @example(text="date,value\n2000-01-03,100\n2000-01-04,101", cells=1)
@@ -314,6 +314,10 @@ class TestColumnWisePath:
     @example(text="date,value\n2000-01-03,1\n2000-01-03,2\n", cells=2)
     @example(text="date,value\n2000-01-03,1\n2000-01-04,2\n2000-01-04,\n2000-01-04,3\n", cells=4)
     @example(text="date,value\n2000-01-03,1_000\n2000-01-04,1e2\n", cells=ingest.PLAIN_CELLS)
+    # doubt in the last of several blocks: a quoted cell, an incomplete row
+    @example(text="date,value\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n2000-01-06,\"4\"\n",
+             cells=2)
+    @example(text="date,value\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n2000-01-06,", cells=2)
     def test_matches_the_row_loop(self, tmp_path_factory, text, cells):
         path = tmp_path_factory.mktemp("csv") / "prices.csv"
         path.write_bytes(text.encode())
@@ -336,20 +340,19 @@ class TestColumnWisePath:
             result = outcome(path)
         assert result == row_loop_outcome(path) and len(result[0][0]) == 70_000
 
-    def test_row_loop_reads_on_from_the_first_block_in_doubt(self, tmp_path):
+    def test_row_loop_reads_the_whole_body_past_a_plain_block(self, tmp_path):
         # an empty price, which the row loop warns of, in the second block
         path = long_csv(tmp_path, "value", 60_000, "")
         entries = []
 
-        def read_rows(path, reader, date_at, value_at, dates, values):
-            entries.append((reader.line_num, len(dates), len(values)))
-            return real_read_rows(path, reader, date_at, value_at, dates, values)
+        def read_rows(path, reader, *columns):
+            entries.append(reader.line_num)
+            return real_read_rows(path, reader, *columns)
 
         real_read_rows = ingest._read_rows
         with mock.patch.object(ingest, "_read_rows", read_rows):
             result = outcome(path)
-        first_block = ingest.PLAIN_CELLS // 3
-        assert entries == [(1 + first_block, first_block, first_block)]
+        assert entries == [1]
         assert result == row_loop_outcome(path)
         assert result[1] == [f"{path}: skipping incomplete row at line 60001"]
 
