@@ -123,16 +123,29 @@ def synth_series(spec):
 
 
 def load_returns(cfg):
-    """The run's returns and label, checked before any output is made."""
+    """The run's returns and label, in a frame of their own so that a CSV's
+    prices and dates are freed before observe fits the series."""
     if cfg.synth_spec:
-        values, label = synth_series(cfg.synth_spec)
-    else:
-        prices = load_price_csv(cfg.input_path, cfg.date_col, cfg.value_col)
-        values, label = log_returns(prices).values, prices.label
-    profile = make_profile(values).values
-    for order in cfg.detrend_orders:
-        cfg.analysis_config(order).validate_profile(profile)
-    return values, label
+        return synth_series(cfg.synth_spec)
+    prices = load_price_csv(cfg.input_path, cfg.date_col, cfg.value_col)
+    return log_returns(prices).values, prices.label
+
+
+def observe(cfg, timings):
+    """The run's returns, label and (config, surface, spectrum) per detrend
+    order, timed as load and mfdfa_l<order> in timings. Made before any
+    output, so a fault in the observed series leaves no run directory."""
+    t0 = time.perf_counter()
+    values, label = load_returns(cfg)
+    profile = make_profile(values)
+    timings["load"] = time.perf_counter() - t0
+    observed = []
+    for acfg in map(cfg.analysis_config, cfg.detrend_orders):
+        t0 = time.perf_counter()
+        surface = fluctuation_surface(profile, acfg)
+        observed.append((acfg, surface, spectrum_from_surface(surface)))
+        timings[f"mfdfa_l{acfg.detrend_order}"] = time.perf_counter() - t0
+    return values, label, observed
 
 
 def _member_spectra(values, acfgs, seed):
@@ -210,19 +223,9 @@ def _write_manifest(out, cfg, config, timings, **extra):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def analyze_observed(values, acfgs, out, timings):
-    """MF-DFA of the series under each config, timed as mfdfa_l<order> in
-    timings. Writes each order's surface_l*.tsv and spectrum_l*.tsv under
-    out, made only once every surface is computed; returns the spectra."""
-    profile = make_profile(values)
-    observed = []
-    for acfg in acfgs:
-        t0 = time.perf_counter()
-        surface = fluctuation_surface(profile, acfg)
-        observed.append((surface, spectrum_from_surface(surface)))
-        timings[f"mfdfa_l{acfg.detrend_order}"] = time.perf_counter() - t0
-    out.mkdir(parents=True, exist_ok=True)
-    for acfg, (surface, spec) in zip(acfgs, observed):
+def _write_observed(out, observed):
+    """Each observed order's surface_l*.tsv and spectrum_l*.tsv under out."""
+    for acfg, surface, spec in observed:
         n_q, n_s = surface.F.shape
         q = np.repeat(surface.q_grid, n_s)
         s = np.tile(surface.scale_grid, n_q)
@@ -231,31 +234,28 @@ def analyze_observed(values, acfgs, out, timings):
         _write_table(out / f"spectrum_l{acfg.detrend_order}.tsv",
                      ["q", "H", "stderr", "tau", "alpha", "f"],
                      [spec.q_grid, spec.H, spec.H_stderr, spec.tau, spec.alpha, spec.f])
-    return [spec for _, spec in observed]
 
 
 def run_pipeline(cfg):
     """Full analysis per detrend order; writes all artifacts under the
     output directory and returns the per-order TestReports."""
-    # loaded first, so a fault in the input leaves no run directory behind
-    t0 = time.perf_counter()
-    values, label = load_returns(cfg)
-    timings = {"load": time.perf_counter() - t0}
+    timings = {}
+    values, label, observed = observe(cfg, timings)
     reports = {}
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "INCOMPLETE"
     marker.write_text("run in progress\n")
     try:
-        acfgs = [cfg.analysis_config(order) for order in cfg.detrend_orders]
-        observed = analyze_observed(values, acfgs, out, timings)
-
+        _write_observed(out, observed)
+        acfgs = [acfg for acfg, _, _ in observed]
         t0 = time.perf_counter()
         ensembles, diagnostics = ensemble_spectra(values, cfg.surrogates, cfg.seed,
                                                   acfgs, workers=cfg.workers)
         timings["ensemble"] = time.perf_counter() - t0
 
-        for order, spectrum, spectra in zip(cfg.detrend_orders, observed, ensembles):
+        for (acfg, _, spectrum), spectra in zip(observed, ensembles):
+            order = acfg.detrend_order
             tag = f"l{order}"
             stats = ensemble_statistics(spectra)
             report = verdict(label, order, spectrum, stats,
@@ -422,18 +422,17 @@ def _cmd_analyze(args):
 
 def _cmd_spectrum(args):
     cfg = _run_config_from_args(args)
-    t0 = time.perf_counter()
-    values, label = load_returns(cfg)
-    timings = {"load": time.perf_counter() - t0}
-    acfgs = [cfg.analysis_config(order) for order in cfg.detrend_orders]
+    timings = {}
+    _, label, observed = observe(cfg, timings)
     out = Path(cfg.out_dir)
-    spectra = analyze_observed(values, acfgs, out, timings)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_observed(out, observed)
     # spectrum has no ensemble: its manifest records only the fields it uses
     _write_manifest(out, cfg, {key: value for key, value in vars(cfg).items()
                                if key not in ("surrogates", "seed", "alpha_level", "workers")},
                     timings)
-    for order, spectrum in zip(cfg.detrend_orders, spectra):
-        print(f"{label} l={order}: H(2)={spectrum.H[np.argmin(np.abs(spectrum.q_grid - 2)) ]:.4f} "
+    for acfg, _, spectrum in observed:
+        print(f"{label} l={acfg.detrend_order}: H(2)={spectrum.H[np.argmin(np.abs(spectrum.q_grid - 2)) ]:.4f} "
               f"delta_alpha={spectrum.delta_alpha:.4f} delta_f={spectrum.delta_f:.4f}")
     return EXIT_OK
 

@@ -60,6 +60,14 @@ def default_scale_grid(s_min=20, s_max=316, count=30):
         raise ValueError("s min, s max and s count must be positive")
     if s_max < s_min:
         raise ValueError(f"scales {s_min}..{s_max}: s max {s_max} is below s min {s_min}")
+    # both refused before the grid is allocated; float64 holds every
+    # integer only up to 2**53, so a larger scale cannot round back
+    if s_max > 2 ** 53:
+        raise ValueError(f"s max {s_max} is above 2**53 = {2 ** 53}, past which "
+                         "float64 does not hold every integer")
+    if count > s_max - s_min + 1:
+        raise ValueError(f"scales {s_min}..{s_max} round to {s_max - s_min + 1} distinct "
+                         f"integers at most, fewer than s count {count}")
     grid = np.exp(np.linspace(np.log(s_min), np.log(s_max), count))
     # np.unique would import numpy.ma, ~10 ms of every run's start-up
     grid = np.array(sorted(set(np.round(grid).astype(int).tolist())))

@@ -164,8 +164,9 @@ class TestPipeline:
             compare_orders(REPORT, dict(REPORT, label="y"))
 
     def test_incomplete_marker_left_on_failure(self, tmp_path, monkeypatch):
-        # input faults are all found before the run directory exists, so a
-        # fault inside it is a numeric one, here raised by the ensemble
+        # the observed series is loaded and analysed before the run directory
+        # exists, so the marker covers only faults in the ensemble, the tests
+        # and the export; here the ensemble raises
         def failing(*args, **kwargs):
             raise AllBoxesDegenerate()
 
@@ -397,16 +398,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])
     def test_huge_q_range_refused_before_linspace(self, tmp_path, capsys, monkeypatch,
                                                  command):
-        # the cap must act on the point count, before any grid is allocated
-        def linspace(*args, **kwargs):
-            raise AssertionError("np.linspace reached")
+        # each cap must act on the point count, before any grid is allocated
+        real_linspace = np.linspace
+
+        def linspace(start, stop, num=50, **kwargs):
+            if num > mfdfa.MAX_Q_POINTS:
+                raise AssertionError(f"np.linspace reached with {num} points")
+            return real_linspace(start, stop, num, **kwargs)
 
         monkeypatch.setattr(np, "linspace", linspace)
-        out = tmp_path / "r"
-        assert main([command, "--synth", "noise:n=4096", "--q-max", "1e12",
-                     "--out", str(out)]) == EXIT_CONFIG
-        assert "give 4000000000021 points, more than 1001" in capsys.readouterr().err
-        assert not out.exists()
+        for flag, value, message in [
+            ("--q-max", "1e12", "give 4000000000021 points, more than 1001"),
+            ("--s-count", "1000000000",
+             "scales 20..316 round to 297 distinct integers at most, fewer than s count 1000000000"),
+            ("--s-max", "10000000000000000000",
+             "s max 10000000000000000000 is above 2**53 = 9007199254740992"),
+        ]:
+            out = tmp_path / flag.lstrip("-")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, "--synth", "noise:n=4096", flag, value, "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_detrend_order_rejected_before_output(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -450,6 +464,37 @@ class TestExitCodes:
         assert code == EXIT_DATA and caught == []
         assert "every return is zero after the first" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["analyze", "--surrogates", "4"], ["spectrum"]])
+    def test_every_box_below_floor_leaves_no_run_directory(self, tmp_path, capsys, command):
+        # geometric prices: a log return of 0.01 every day, so the profile is
+        # a line and every detrended box is rounding noise below the floor
+        path = tmp_path / "geometric.csv"
+        days = (date(2000, 1, 1) + timedelta(days=i) for i in range(3000))
+        path.write_text("date,value\n" + "".join(f"{day},{100 * np.exp(0.01 * i):.17g}\n"
+                                                 for i, day in enumerate(days)))
+        out = tmp_path / "r"
+        assert main(command + ["--input", str(path), "--out", str(out)]) == EXIT_NUMERIC
+        assert "numeric failure:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_observed_series_profiled_and_checked_once(self, tmp_path, monkeypatch):
+        calls = {"make_profile": 0, "validate_profile": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "make_profile")
+        counted(mfdfa, "make_profile")
+        counted(mfdfa.AnalysisConfig, "validate_profile")
+        assert main(["spectrum", "--synth", "noise:n=2048,seed=1", "--detrend-order", "1",
+                     "--detrend-order", "2", "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert calls == {"make_profile": 1, "validate_profile": 2}
 
     @pytest.mark.parametrize("texts", [
         ("{}", "{}"), ("[1]", "[1]"), ('{"label": "x"', '{"label": "x"'),
