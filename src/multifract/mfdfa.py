@@ -31,6 +31,11 @@ DEGENERACY_FLOOR_FACTOR = 1e-12
 # cap, 2^18 returns at s = 20 (26,214 boxes) take 210 MB.
 MAX_Q_POINTS = 1001
 
+# Most scales a grid may have. Past it the grid's log-spaced floats, not
+# the series, would set the memory a run asks for: a range up to 2**53
+# holds 10^9 integer scales.
+MAX_SCALE_POINTS = 1001
+
 # Most values in one block of box fits. fluctuation_surface fits a scale's
 # boxes in row blocks of at most this many values, so each box product has
 # m*n*k <= 3 * 2^16, below the 4 * 65,536 at which OpenBLAS splits a
@@ -65,6 +70,8 @@ def default_scale_grid(s_min=20, s_max=316, count=30):
     if s_max > 2 ** 53:
         raise ValueError(f"s max {s_max} is above 2**53 = {2 ** 53}, past which "
                          "float64 does not hold every integer")
+    if count > MAX_SCALE_POINTS:
+        raise ValueError(f"s count {count} is more than {MAX_SCALE_POINTS}")
     if count > s_max - s_min + 1:
         raise ValueError(f"scales {s_min}..{s_max} round to {s_max - s_min + 1} distinct "
                          f"integers at most, fewer than s count {count}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeries, LengthTooShort
+from .errors import ConstantSeries, DataError, LengthTooShort
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -44,6 +44,27 @@ class IaaftResult:
     stop_reason: str  # "fixed_point" | "max_iterations"
 
 
+def _rank_order(values, index, low):
+    """np.argsort(values), bit for bit, from one sort of the values as floats
+    (numpy's float sort runs 2-3 times as fast as its argsort at 2^14).
+
+    Each value carries its index in the low mantissa bits selected by low.
+    When the values with those bits cleared come out strictly increasing,
+    the values are distinct and the sort fixed their order, which is then
+    argsort's only one. Otherwise (exact ties, -0.0 next to +0.0, or values
+    that agree above the index bits) argsort itself decides.
+    """
+    packed = values.view(np.uint64) & ~low
+    packed |= index
+    packed.view(np.float64).sort()
+    order = packed & low
+    packed ^= order
+    cleared = packed.view(np.float64)
+    if np.less(cleared[:-1], cleared[1:]).all():
+        return order.view(np.intp)
+    return np.argsort(values)
+
+
 def iaaft(x, cfg):
     """One IAAFT surrogate of x.
 
@@ -62,6 +83,9 @@ def iaaft(x, cfg):
     n = len(x)
     if n < 8:
         raise LengthTooShort(f"need at least 8 points, got {n}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        raise DataError(f"value {bad[0]} is {x[bad[0]]}, not a finite number")
     if np.all(x == x[0]):
         raise ConstantSeries("IAAFT is undefined for a constant series")
 
@@ -70,6 +94,8 @@ def iaaft(x, cfg):
     target_amp = np.abs(fft.rfft(x))
     target_norm = np.linalg.norm(target_amp)
 
+    index = np.arange(n, dtype=np.uint64)
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
     current = rng.permutation(x)
     prev_order = None
     for done in range(cfg.max_iterations + 1):  # iterations completed
@@ -80,10 +106,15 @@ def iaaft(x, cfg):
             return IaaftResult(current, done, residual, "fixed_point")
         if done == cfg.max_iterations:
             return IaaftResult(current, done, residual, "max_iterations")
-        unit = spectrum / np.where(amplitudes > 0, amplitudes, 1.0)
-        unit[amplitudes == 0] = 1.0
-        matched = fft.irfft(target_amp * unit, n)
-        order = np.argsort(matched)
+        # keep the iterate's phases, take the source's amplitudes (a bin
+        # of zero amplitude gets phase 0); times 1/a is bit for bit numpy's
+        # division by a complex a + 0j, which scales the numerator by 1/a
+        zero = amplitudes == 0
+        amplitudes[zero] = 1.0
+        spectrum[zero] = 1.0
+        spectrum *= 1 / amplitudes
+        spectrum *= target_amp
+        order = _rank_order(fft.irfft(spectrum, n), index, low)
         if done and np.array_equal(order, prev_order):
             # rank adjustment would reproduce the same iterate
             return IaaftResult(current, done + 1, residual, "fixed_point")

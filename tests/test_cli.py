@@ -402,22 +402,26 @@ class TestExitCodes:
         real_linspace = np.linspace
 
         def linspace(start, stop, num=50, **kwargs):
-            if num > mfdfa.MAX_Q_POINTS:
+            if num > max(mfdfa.MAX_Q_POINTS, mfdfa.MAX_SCALE_POINTS):
                 raise AssertionError(f"np.linspace reached with {num} points")
             return real_linspace(start, stop, num, **kwargs)
 
         monkeypatch.setattr(np, "linspace", linspace)
-        for flag, value, message in [
-            ("--q-max", "1e12", "give 4000000000021 points, more than 1001"),
-            ("--s-count", "1000000000",
-             "scales 20..316 round to 297 distinct integers at most, fewer than s count 1000000000"),
-            ("--s-max", "10000000000000000000",
+        for flags, message in [
+            (["--q-max", "1e12"], "give 4000000000021 points, more than 1001"),
+            (["--s-count", "1000000000"], "s count 1000000000 is more than 1001"),
+            (["--s-count", "1001"],
+             "scales 20..316 round to 297 distinct integers at most, fewer than s count 1001"),
+            (["--s-max", "10000000000000000000"],
              "s max 10000000000000000000 is above 2**53 = 9007199254740992"),
+            # a range that holds 10^9 integer scales
+            (["--s-max", "9007199254740992", "--s-count", "1000000000"],
+             "s count 1000000000 is more than 1001"),
         ]:
-            out = tmp_path / flag.lstrip("-")
+            out = tmp_path / "-".join(flags).lstrip("-")
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code = main([command, "--synth", "noise:n=4096", flag, value, "--out", str(out)])
+                code = main([command, "--synth", "noise:n=4096", *flags, "--out", str(out)])
             assert code == EXIT_CONFIG
             assert message in capsys.readouterr().err
             assert not out.exists()

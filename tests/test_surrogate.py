@@ -2,11 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifract.cli import ensemble_spectra
-from multifract.errors import ConstantSeries, LengthTooShort
-from multifract.surrogate import IaaftConfig, derive_seed, iaaft
-from multifract.synth import fbm, FbmSpec, gaussian_white_noise
+from multifract.errors import ConstantSeries, DataError, LengthTooShort
+from multifract.surrogate import IaaftConfig, _rank_order, derive_seed, iaaft
+from multifract.synth import CascadeSpec, FbmSpec, binomial_cascade, fbm, gaussian_white_noise
 
 
 def spectrum_residual(surrogate, source):
@@ -87,6 +89,15 @@ class TestIaaft:
         with pytest.raises(LengthTooShort):
             iaaft(np.arange(5.0), IaaftConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_refused(self, bad):
+        # refused before any transform, so no RuntimeWarning either
+        x = gaussian_white_noise(64, 15)
+        x[3] = bad
+        x[9] = bad
+        with pytest.raises(DataError, match=f"value 3 is {bad}, not a finite number"):
+            iaaft(x, IaaftConfig())
+
     def test_determinism(self):
         x = gaussian_white_noise(512, 9)
         a = iaaft(x, IaaftConfig(rng_seed=11))
@@ -117,11 +128,102 @@ class TestIaaftGolden:
          5, "max_iterations", "0.007944524054220747"),
     ])
     def test_bit_identical(self, n, source_seed, cfg, digest, iterations, stop, residual):
-        result = iaaft(gaussian_white_noise(n, source_seed), cfg)
+        self.check(gaussian_white_noise(n, source_seed), cfg, digest, iterations, stop, residual)
+
+    # captured with np.argsort as the rank step: a cascade whose 4,096 cells
+    # take 58 values, noise rounded to 67 values, and heavy tails at the
+    # paper's 5,799 points
+    @pytest.mark.parametrize("source, cfg, digest, iterations, stop, residual", [
+        (lambda: binomial_cascade(CascadeSpec(12, 0.3, seed=1)), IaaftConfig(rng_seed=51),
+         "5b17adfcc08c07bf5d527cac2a1a340c49f6d1404e9e17b20a77103a733f9aad",
+         22, "fixed_point", "0.2832957059062221"),
+        (lambda: np.round(gaussian_white_noise(4096, 3), 1), IaaftConfig(rng_seed=52),
+         "0855d7c288cb68fcbadea2de0c124904a5de52dbd02443b03df4b77dc4817c58",
+         8, "fixed_point", "0.02181211932810222"),
+        (lambda: np.random.default_rng(53).standard_t(4, 5799), IaaftConfig(rng_seed=54),
+         "f84e59ba11d7bb8b5ff028bb702f44a3c07db6ebccd103168b7869263b2b8b16",
+         92, "fixed_point", "0.0006428928827549602"),
+    ], ids=["cascade-ties", "rounded-noise", "t4-5799"])
+    def test_bit_identical_beyond_noise(self, source, cfg, digest, iterations, stop, residual):
+        self.check(source(), cfg, digest, iterations, stop, residual)
+
+    @staticmethod
+    def check(x, cfg, digest, iterations, stop, residual):
+        result = iaaft(x, cfg)
         assert hashlib.sha256(result.values.tobytes()).hexdigest() == digest
         assert result.iterations == iterations
         assert result.stop_reason == stop
         assert repr(result.spectrum_residual) == residual
+
+
+def rank_args(values):
+    """_rank_order's arguments, built as iaaft builds them."""
+    n = len(values)
+    return values, np.arange(n, dtype=np.uint64), np.uint64((1 << (n - 1).bit_length()) - 1)
+
+
+# values whose order the packed sort cannot settle: signed zeros, the
+# smallest subnormals and the ends of the finite range
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0,
+               np.finfo(float).max, -np.finfo(float).max]
+# at and just past powers of two, where the index takes one more bit
+LENGTHS = [8, 9, 16, 17, 255, 256, 257, 1024, 1025, 4096, 4097]
+
+
+@st.composite
+def rank_inputs(draw):
+    n = draw(st.sampled_from(LENGTHS))
+    pool = draw(st.lists(st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False,
+                                                                  allow_infinity=False),
+                         min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.asarray(pool)[rng.integers(len(pool), size=n)]
+    # runs of values up to 2 ulp apart around each drawn value
+    for step in rng.integers(-2, 3, size=(2, n)):
+        values = np.where(step > 0, np.nextafter(values, np.finfo(float).max), values)
+        values = np.where(step < 0, np.nextafter(values, -np.finfo(float).max), values)
+    # well-separated values in a share of the places, or in none
+    spread = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]))
+    values[spread] = rng.standard_normal(np.count_nonzero(spread))
+    return values
+
+
+class TestRankOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(rank_inputs())
+    def test_equals_argsort(self, values):
+        before = values.copy()
+        order = _rank_order(*rank_args(values))
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.argsort(values))
+        assert values.tobytes() == before.tobytes()
+
+    def test_argsort_only_on_doubtful_values(self, monkeypatch):
+        real_argsort = np.argsort
+        calls = []
+
+        def argsort(values, *args, **kwargs):
+            calls.append(len(values))
+            return real_argsort(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        distinct = gaussian_white_noise(2 ** 14, 16)
+        _rank_order(*rank_args(distinct))
+        assert calls == []
+
+        tie = distinct.copy()
+        tie[7] = tie[100]
+        zeros = distinct.copy()
+        zeros[[5, 50]] = 0.0, -0.0
+        near = distinct.copy()  # 3 ulp apart, inside the 14 index bits
+        near[9] = np.nextafter(np.nextafter(np.nextafter(near[90], 9.0), 9.0), 9.0)
+        for doubtful in (tie, zeros, near):
+            _rank_order(*rank_args(doubtful))
+        assert calls == [2 ** 14] * 3
+
+        # no IAAFT pass of Gaussian noise is in doubt
+        iaaft(gaussian_white_noise(4096, 17), IaaftConfig(rng_seed=18))
+        assert calls == [2 ** 14] * 3
 
 
 def ensemble_members(x, size, base_seed):
