@@ -31,9 +31,9 @@ DEGENERACY_FLOOR_FACTOR = 1e-12
 # cap, 2^18 returns at s = 20 (26,214 boxes) take 210 MB.
 MAX_Q_POINTS = 1001
 
-# Most scales a grid may have. Past it the grid's log-spaced floats, not
-# the series, would set the memory a run asks for: a range up to 2**53
-# holds 10^9 integer scales.
+# Most scales a grid may have, checked before the grid is allocated: a
+# scale range up to 2**53 holds enough integers for --s-count to ask
+# np.linspace for gigabytes.
 MAX_SCALE_POINTS = 1001
 
 # Most values in one block of box fits. fluctuation_surface fits a scale's
