@@ -27,26 +27,27 @@ _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Daily index prices with strictly increasing dates."""
+    """Daily index prices with strictly increasing dates (datetime64[D])."""
 
-    dates: tuple
+    dates: np.ndarray
     values: np.ndarray
     label: str = ""
 
     def __post_init__(self):
+        days = np.asarray(self.dates, "datetime64[D]")
         values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "dates", days)
         object.__setattr__(self, "values", values)
         if len(values) < 2:
             raise SeriesTooShort(f"{self.label}: only {len(values)} usable rows")
-        if len(self.dates) != len(values):
+        if len(days) != len(values):
             raise ValueError("dates and values must have equal length")
         bad = np.flatnonzero(~(values > 0))
         if len(bad):
             raise DataError(f"price {bad[0]} is {values[bad[0]]}, not strictly positive")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if b <= a:
-                # the dates before b increase, so a is the first of its value
-                raise DataError(f"date {self.dates.index(a) + 1} ({b}) does not follow {a}")
+        bad = np.flatnonzero(days[1:] <= days[:-1]) + 1
+        if len(bad):
+            raise DataError(f"date {bad[0]} ({days[bad[0]]}) does not follow {days[bad[0] - 1]}")
 
     def __len__(self):
         return len(self.values)
@@ -141,13 +142,13 @@ def load_price_csv(path, date_col, value_col, label=None):
     except UnicodeDecodeError as exc:
         raise MalformedRow(_undecodable_line(path), f"not UTF-8: {exc.reason}") from None
 
-    return PriceSeries(tuple(dates), values, label or str(path))
+    return PriceSeries(dates, values, label or str(path))
 
 
 def _read_rows(path, reader, date_at, value_at):
     """Dates and prices of the rows left in reader, one row at a time: the
     only source of the loader's warnings and line-numbered errors."""
-    dates, values = [], []
+    days, values = [], []
     for row in reader:
         if not row:
             continue
@@ -169,19 +170,17 @@ def _read_rows(path, reader, date_at, value_at):
             raise MalformedRow(lineno, f"bad price {raw_value!r}")
         if price <= 0:
             raise NonPositivePrice(lineno)
-        if dates and parsed_date <= dates[-1]:
+        if days and parsed_date.toordinal() <= days[-1]:
             raise NonMonotoneDates(lineno)
-        dates.append(parsed_date)
+        days.append(parsed_date.toordinal())  # 1 is 0001-01-01; numpy takes ints ~20x faster
         values.append(price)
-    return dates, np.array(values)
+    return np.datetime64("0000-12-31") + np.array(days, int), np.array(values)
 
 
 def _read_plain(path, delimiter, ncols, date_at, value_at):
     """Dates and prices of the body under a one-line header, parsed
     column-wise in blocks of PLAIN_CELLS cells, or None if the row loop
-    might read any of it otherwise. So it never raises and warns of nothing.
-    Dates stay datetime64 until the last block is read, so the date objects
-    are made once each block's cells are freed, not in among them."""
+    might read any of it otherwise. So it never raises and warns of nothing."""
     blocks = [(np.empty(0, "datetime64[D]"), np.empty(0))]
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():
@@ -195,7 +194,7 @@ def _read_plain(path, delimiter, ncols, date_at, value_at):
     # strictly increasing, and from year 1 as date has them
     if (days[:1] < np.datetime64("0001-01-01")).any() or (days[1:] <= days[:-1]).any():
         return None
-    return days.tolist(), prices
+    return days, prices
 
 
 def _line_blocks(fh, lines):

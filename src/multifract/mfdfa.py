@@ -105,6 +105,9 @@ class AnalysisConfig:
         for required in (0.0, 2.0):
             if not np.any(np.isclose(q, required)):
                 raise ValueError(f"q_grid must contain q={required}")
+        if len(s) < 3:
+            raise ValueError(f"scale grid has {len(s)} scales, fewer than "
+                             "the 3 the H(q) fit needs")
         if np.any(np.diff(s) <= 0):
             raise ValueError("scale_grid must be strictly increasing")
         if s[0] < self.detrend_order + 2:

@@ -530,9 +530,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r")]) == EXIT_DATA
         assert "data error: line 3:" in capsys.readouterr().err
 
-    def test_zero_s_count_is_config_error(self, tmp_path):
-        assert main(["spectrum", "--synth", "noise:n=2048", "--s-count", "0",
-                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    def test_zero_s_count_is_config_error(self, tmp_path, capsys):
+        # the H(q) fit needs 3 scales, so 1 or 2 is refused before the load
+        for count, message in (("0", "must be positive"), ("1", "has 1 scales"),
+                               ("2", "has 2 scales, fewer than the 3")):
+            assert main(["spectrum", "--synth", "noise:n=4096", "--s-count", count,
+                         "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
 
     @staticmethod
     def assert_loads_no(package, call, *args):

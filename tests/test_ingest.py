@@ -56,7 +56,7 @@ class TestLoadPriceCsv:
     def test_fallback_date_format(self, tmp_path):
         path = write_csv(tmp_path, "date,price\n03/01/2000,100\n04/01/2000,101\n")
         series = load_price_csv(path, "date", "price")
-        assert series.dates[0].year == 2000 and series.dates[0].day == 3
+        assert series.dates.astype(str).tolist() == ["2000-01-03", "2000-01-04"]
 
     def test_zero_price_rejected_with_line(self, tmp_path):
         rows = ["date,price"] + [f"2020-01-{d:02d},10" for d in range(1, 4)]
@@ -157,7 +157,7 @@ class TestLoaderGolden:
         path.write_text(GOLDEN_CSV, encoding="utf-8", newline="")
         with caplog.at_level("WARNING", logger="multifract.ingest"):
             series = load_price_csv(path, "date", "value", label="golden")
-        assert [d.isoformat() for d in series.dates] == GOLDEN_DATES
+        assert series.dates.astype(str).tolist() == GOLDEN_DATES
         assert hashlib.sha256(series.values.tobytes()).hexdigest() == GOLDEN_VALUES_SHA256
         assert [rec.args[-1] for rec in caplog.records] == GOLDEN_WARNING_LINES
         assert series.label == "golden"
@@ -240,7 +240,8 @@ def outcome(path):
     logger.addHandler(handler)
     try:
         series = load_price_csv(path, "date", "value")
-        result = (series.dates, series.values.tobytes(), series.label)
+        assert series.dates.dtype == "datetime64[D]"
+        result = (series.dates.astype(str).tolist(), series.values.tobytes(), series.label)
     except DataError as exc:
         result = (type(exc), getattr(exc, "line_number", None), str(exc))
     finally:
@@ -494,3 +495,11 @@ class TestPriceSeries:
         with pytest.raises(DataError, match=match):
             PriceSeries(dates, np.array(values))
 
+    def test_date_order_message(self):
+        # date objects and datetime64[D] days give the same array and message
+        days = [date(2020, 1, 1 + day) for day in (0, 1, 3, 2, 2)]
+        for dates in (tuple(days), np.array(days, dtype="datetime64[D]")):
+            assert PriceSeries(dates[:3], np.ones(3)).dates.dtype == "datetime64[D]"
+            with pytest.raises(DataError) as exc:
+                PriceSeries(dates, np.ones(5))
+            assert str(exc.value) == "date 3 (2020-01-03) does not follow 2020-01-04"
