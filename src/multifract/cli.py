@@ -7,6 +7,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -65,8 +66,8 @@ class RunConfig:
             raise ValueError("alpha level must lie strictly between 0 and 1")
         if not self.detrend_orders:
             raise ValueError("at least one detrend order required")
-        if not (self.input_path or self.synth_spec):
-            raise ValueError("either an input path or a synth spec is required")
+        if bool(self.input_path) == bool(self.synth_spec):
+            raise ValueError("exactly one of an input path and a synth spec is required")
         # the grid builders and AnalysisConfig hold the rules on q, s and order
         for order in self.detrend_orders:
             self.analysis_config(order)
@@ -236,17 +237,29 @@ def _write_observed(out, observed):
                      [spec.q_grid, spec.H, spec.H_stderr, spec.tau, spec.alpha, spec.f])
 
 
+@contextmanager
+def _run_directory(out_dir):
+    """The run directory, holding an INCOMPLETE marker until the block it
+    guards ends without an exception."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    marker = out / "INCOMPLETE"
+    marker.write_text("run in progress\n")
+    try:
+        yield out
+    except BaseException:
+        marker.write_text("run did not complete\n")
+        raise
+    marker.unlink()
+
+
 def run_pipeline(cfg):
     """Full analysis per detrend order; writes all artifacts under the
     output directory and returns the per-order TestReports."""
     timings = {}
     values, label, observed = observe(cfg, timings)
     reports = {}
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    marker = out / "INCOMPLETE"
-    marker.write_text("run in progress\n")
-    try:
+    with _run_directory(cfg.out_dir) as out:
         _write_observed(out, observed)
         acfgs = [acfg for acfg, _, _ in observed]
         t0 = time.perf_counter()
@@ -289,10 +302,6 @@ def run_pipeline(cfg):
                         iaaft=_iaaft_summary(diagnostics),
                         width_test_size=size,
                         warnings=warnings)
-        marker.unlink()
-    except BaseException:
-        marker.write_text("run did not complete\n")
-        raise
     return reports
 
 
@@ -424,13 +433,12 @@ def _cmd_spectrum(args):
     cfg = _run_config_from_args(args)
     timings = {}
     _, label, observed = observe(cfg, timings)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_observed(out, observed)
-    # spectrum has no ensemble: its manifest records only the fields it uses
-    _write_manifest(out, cfg, {key: value for key, value in vars(cfg).items()
-                               if key not in ("surrogates", "seed", "alpha_level", "workers")},
-                    timings)
+    with _run_directory(cfg.out_dir) as out:
+        _write_observed(out, observed)
+        # spectrum has no ensemble: its manifest records only the fields it uses
+        _write_manifest(out, cfg, {key: value for key, value in vars(cfg).items()
+                                   if key not in ("surrogates", "seed", "alpha_level", "workers")},
+                        timings)
     for acfg, _, spectrum in observed:
         print(f"{label} l={acfg.detrend_order}: H(2)={spectrum.H[np.argmin(np.abs(spectrum.q_grid - 2)) ]:.4f} "
               f"delta_alpha={spectrum.delta_alpha:.4f} delta_f={spectrum.delta_f:.4f}")

@@ -1,6 +1,7 @@
 """Price data loading and return-series derivation."""
 
 import csv
+import io
 import logging
 import math
 import re
@@ -20,9 +21,6 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
-PLAIN_CELLS = 1 << 17  # cells a block of _read_plain splits at once
-READ_CHUNK = 1 << 16  # bytes read at once; freed 1 MiB reads raised malloc's mmap threshold
-_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 
 
 @dataclass(frozen=True)
@@ -178,69 +176,48 @@ def _read_rows(path, reader, date_at, value_at):
 
 
 def _read_plain(path, delimiter, ncols, date_at, value_at):
-    """Dates and prices of the body under a one-line header, parsed
-    column-wise in blocks of PLAIN_CELLS cells, or None if the row loop
-    might read any of it otherwise. So it never raises and warns of nothing."""
-    blocks = [(np.empty(0, "datetime64[D]"), np.empty(0))]
+    """Dates and prices of the body under a one-line header, parsed whole
+    by one np.loadtxt call, or None if the row loop might read any of it
+    otherwise. So it never raises and warns of nothing.
+
+    The body must have no quote, CR or NUL, ncols - 1 delimiters on each
+    line, no line past csv's field limit, ASCII YYYY-MM-DD dates from year
+    1 on, strictly increasing, and prices numpy reads as finite and > 0.
+    Only the last line may lack its newline, and empty lines are dropped,
+    as the row loop skips them without a word."""
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():
             return None
-        for block in _line_blocks(fh, max(1, PLAIN_CELLS // ncols)):
-            parsed = _parse_plain_block(block, delimiter, ncols, date_at, value_at)
-            if parsed is None:
-                return None
-            blocks.append(parsed)
-    days, prices = (np.concatenate(column) for column in zip(*blocks))
-    # strictly increasing, and from year 1 as date has them
-    if (days[:1] < np.datetime64("0001-01-01")).any() or (days[1:] <= days[:-1]).any():
+        body = fh.read()
+    if b'"' in body or b"\r" in body or b"\0" in body:
         return None
-    return days, prices
-
-
-def _line_blocks(fh, lines):
-    """The blocks b"".join(islice(fh, lines)) gives until fh is spent, cut
-    from reads of READ_CHUNK bytes, so no bytes object is made per line."""
-    parts, held = [], 0  # the block so far and its newlines, < lines
-    while chunk := fh.read(READ_CHUNK):
-        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
-        cuts = [0, *ends[lines - held - 1::lines].tolist()]
-        for start, end in zip(cuts, cuts[1:]):
-            yield b"".join([*parts, chunk[start:end]])
-            parts = []
-        parts.append(chunk[cuts[-1]:])
-        held = (held + len(ends)) % lines
-    if block := b"".join(parts):
-        yield block
-
-
-def _parse_plain_block(block, delimiter, ncols, date_at, value_at):
-    """A block's dates (datetime64[D]) and prices, or None unless it has no
-    quote, CR or NUL, each line has ncols - 1 delimiters and fits csv's
-    field limit, each date is ASCII YYYY-MM-DD and each price is a finite
-    float() > 0. Only the last line may lack its newline, and empty lines
-    are dropped, as the row loop skips them without a word."""
-    block = block if block.endswith(b"\n") else block + b"\n"
-    if b'"' in block or b"\r" in block or b"\0" in block:
-        return None
-    if block.startswith(b"\n") or b"\n\n" in block:
-        block = re.sub(rb"\n+", b"\n", block).lstrip(b"\n")
-    buf = np.frombuffer(block, np.uint8)
+    body = body if body.endswith(b"\n") else body + b"\n"
+    if body.startswith(b"\n") or b"\n\n" in body:
+        body = re.sub(rb"\n+", b"\n", body).lstrip(b"\n")
+    buf = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
-    cuts = np.searchsorted(np.flatnonzero(buf == ord(delimiter)), ends)
-    if (np.diff(cuts, prepend=0) != ncols - 1).any() or \
-            (np.diff(ends, prepend=-1) > csv.field_size_limit() + 1).any():
+    delims = np.flatnonzero(buf == ord(delimiter))
+    if not len(ends) or (np.diff(np.searchsorted(delims, ends), prepend=0) != ncols - 1).any() \
+            or (np.diff(ends, prepend=-1) > csv.field_size_limit() + 1).any():
         return None
+    # each line's date cell, from the delimiter or newline on either side
+    start = delims[date_at - 1::ncols - 1] + 1 if date_at else np.r_[0, ends[:-1] + 1]
+    stop = delims[date_at::ncols - 1] if date_at < ncols - 1 else ends
+    if (stop - start != 10).any():
+        return None
+    for k in range(10):
+        byte = buf[start + k]
+        if (byte != ord("-") if k in (4, 7) else byte - ord("0") > 9).any():
+            return None
     try:
-        cells = block.decode().replace("\n", delimiter).split(delimiter)
-        raw = cells[date_at:-1:ncols]
-        iso = np.frombuffer("".join(raw).encode("ascii"), np.uint8).reshape(-1, 10)
-        days = np.array(raw, dtype="datetime64[D]")
-        prices = np.array(cells[value_at:-1:ncols], dtype=float)
-    except ValueError:  # not UTF-8, or a cell ASCII or numpy rejects
+        table = np.loadtxt(io.BytesIO(body), delimiter=delimiter, comments=None,
+                           usecols=(date_at, value_at), encoding="utf-8", ndmin=1,
+                           dtype=[("d", "datetime64[D]"), ("v", float)])
+    except ValueError:  # not UTF-8, or a date or price numpy rejects
         return None
-    if set(map(len, raw)) - {10} or (iso[:, [4, 7]] != ord("-")).any() or \
-            (iso[:, _ISO_DIGITS] - ord("0") > 9).any() or \
-            not ((prices > 0) & (prices < np.inf)).all():
+    days, prices = table["d"].copy(), table["v"].copy()  # contiguous, as the row loop's
+    if not ((prices > 0) & (prices < np.inf)).all() or \
+            days[0] < np.datetime64("0001-01-01") or (days[1:] <= days[:-1]).any():
         return None
     return days, prices
 

@@ -11,6 +11,8 @@ from .errors import EmbeddingFailure
 # Longest series a generator makes, checked before anything is allocated.
 # At 2^21 an fBm's complex embedding of 2^22 points takes 64 MB, and the
 # `synth` command's one calendar day per value still ends before year 9999.
+# An fBm with H near 1 at large n (H = 0.95 at 2^21, H = 0.99 from 2^19) has
+# negative eigenvalues in that first embedding: an EmbeddingFailure.
 MAX_POINTS = 1 << 21
 
 
@@ -92,21 +94,18 @@ def _fgn_autocovariance(lags, hurst):
 
 def fgn(n, hurst, seed):
     """Fractional Gaussian noise with exact autocovariance via circulant
-    embedding. The embedding is doubled on (rare) negative eigenvalues."""
+    embedding of the next power of two at or above n. A larger embedding
+    only gets more negative eigenvalues, so one that fails is not doubled:
+    it raises EmbeddingFailure."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     m = 1
     while m < n:
         m <<= 1
-    for _ in range(5):
-        gamma = _fgn_autocovariance(np.arange(m + 1), hurst)
-        circ = np.concatenate([gamma, gamma[-2:0:-1]])
-        eig = np.fft.fft(circ).real
-        if eig.min() >= -1e-10 * eig.max():
-            eig = np.clip(eig, 0.0, None)
-            break
-        m <<= 1
-    else:
+    gamma = _fgn_autocovariance(np.arange(m + 1), hurst)
+    eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    if not eig.min() >= -1e-10 * eig.max():
         raise EmbeddingFailure(f"no nonnegative embedding for H={hurst}")
+    eig = np.clip(eig, 0.0, None)
 
     m2 = 2 * m
     coeff = np.zeros(m2, dtype=complex)

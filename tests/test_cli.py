@@ -77,8 +77,9 @@ class TestSynthSpecParsing:
 
 class TestRunConfig:
     def test_requires_input_or_synth(self):
-        with pytest.raises(ValueError):
-            RunConfig()
+        for given in ({}, {"input_path": "prices.csv", "synth_spec": "noise"}):
+            with pytest.raises(ValueError, match="exactly one of an input path and a synth"):
+                RunConfig(**given)
 
     def test_rejects_tiny_ensemble(self):
         with pytest.raises(ValueError):
@@ -178,6 +179,17 @@ class TestPipeline:
         assert (out / "INCOMPLETE").exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_incomplete_marker_left_on_failed_write(self, tmp_path, command):
+        # a directory where spectrum_l1.tsv goes makes the export fail
+        out = tmp_path / "run"
+        (out / "spectrum_l1.tsv").mkdir(parents=True)
+        ensemble = ["--surrogates", "4"] if command == "analyze" else []
+        assert main([command, "--synth", "noise:n=2048,seed=1", *ensemble,
+                     "--out", str(out)]) == EXIT_DATA
+        assert (out / "INCOMPLETE").read_text() == "run did not complete\n"
+        assert not (out / "manifest.json").exists()
+
 
 class TestSynthCommand:
     def test_round_trip_through_csv_loader(self, tmp_path):
@@ -269,6 +281,7 @@ class TestSpectrumCommand:
                      "--s-min", "10", "--s-max", "512", "--out", str(out)])
         assert code == EXIT_OK
         assert (out / "spectrum_l1.tsv").exists()
+        assert not (out / "INCOMPLETE").exists()
         assert "H(2)=" in capsys.readouterr().out
 
     def test_manifest_times_the_load(self, tmp_path, capsys):
@@ -329,6 +342,17 @@ class TestExitCodes:
         out = tmp_path / "r"
         assert main(["analyze", "--input", str(path), "--out", str(out)]) == EXIT_DATA
         assert "data error: line 3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_input_with_synth_is_config_error(self, tmp_path, capsys, command):
+        # one would be analysed and the other fingerprinted in the manifest
+        path = tmp_path / "prices.csv"
+        path.write_text("date,value\n2020-01-01,100\n2020-01-02,101\n")
+        out = tmp_path / "r"
+        assert main([command, "--input", str(path), "--synth", "noise:n=4096,seed=1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: exactly one of" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_file(self, tmp_path):

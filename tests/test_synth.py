@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from multifract.errors import EmbeddingFailure
 from multifract.synth import (
     MAX_POINTS,
     CascadeSpec,
@@ -154,6 +157,14 @@ class TestFbm:
         se = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
         target = fgn_autocovariance(np.arange(6), hurst)
         assert np.all(np.abs(mean - target) <= 4 * se)
+
+    def test_failed_embedding_is_not_doubled(self):
+        # a larger embedding only gets more negative eigenvalues, so the
+        # first one's eigenvalues decide
+        with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+            with pytest.raises(EmbeddingFailure, match="H=0.99"):
+                fgn(2 ** 19, 0.99, 0)
+        assert fft.call_count == 1
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
