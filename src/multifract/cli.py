@@ -173,10 +173,8 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     if workers == 1:
         members = list(map(member, seeds))
     else:
-        # no multiprocessing without a pool; scipy.fft before the fork, so
-        # each worker inherits it instead of paying for the import itself
+        # imported here, so a run without a pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        import scipy.fft  # noqa: F401
         with ProcessPoolExecutor(max_workers=min(workers, -(-size // 8)) or 1) as pool:
             members = list(pool.map(member, seeds, chunksize=8))
     spectra = [[member[k] for member, _ in members] for k in range(len(acfgs))]
@@ -260,20 +258,25 @@ def run_pipeline(cfg):
     values, label, observed = observe(cfg, timings)
     reports = {}
     with _run_directory(cfg.out_dir) as out:
+        t0 = time.perf_counter()
         _write_observed(out, observed)
+        timings["export"] = time.perf_counter() - t0
         acfgs = [acfg for acfg, _, _ in observed]
         t0 = time.perf_counter()
         ensembles, diagnostics = ensemble_spectra(values, cfg.surrogates, cfg.seed,
                                                   acfgs, workers=cfg.workers)
         timings["ensemble"] = time.perf_counter() - t0
 
+        timings["tests"] = 0.0
         for (acfg, _, spectrum), spectra in zip(observed, ensembles):
             order = acfg.detrend_order
             tag = f"l{order}"
+            t0 = time.perf_counter()
             stats = ensemble_statistics(spectra)
-            report = verdict(label, order, spectrum, stats,
-                             significance_level=cfg.alpha_level)
-            reports[order] = report
+            reports[order] = report = verdict(label, order, spectrum, stats,
+                                              significance_level=cfg.alpha_level)
+            t1 = time.perf_counter()
+            timings["tests"] += t1 - t0
 
             _write_table(out / f"ensemble_stats_{tag}.tsv",
                          ["q", "H_mean", "H_std", "tau_mean", "tau_std",
@@ -289,6 +292,7 @@ def run_pipeline(cfg):
             (out / f"report_{tag}.json").write_text(
                 json.dumps(report.to_dict(), indent=2, sort_keys=True))
             (out / f"report_{tag}.txt").write_text(format_report(report) + "\n")
+            timings["export"] += time.perf_counter() - t1
 
         size = width_test_size(cfg.surrogates, cfg.alpha_level)
         warnings = [f"width test size {size:.4g} at {cfg.surrogates} surrogates "

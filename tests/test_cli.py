@@ -565,10 +565,10 @@ class TestExitCodes:
 
     @staticmethod
     def assert_loads_no(package, call, *args):
-        # scipy.special loads inside quadratic_tau_fit and scipy.fft inside
-        # iaaft, so a run that reaches neither loads no scipy module at all;
-        # multiprocessing loads only with a pool of workers, and numpy.ma
-        # with np.unique, which the scale grid does without
+        # no command loads a scipy module: iaaft loads only pocketfft's
+        # extension, from its file; multiprocessing loads only with a pool
+        # of workers, and numpy.ma with np.unique, which the scale grid
+        # does without
         code = (f"import sys, multifract.cli as cli; {call}; "
                 f"loaded = [m for m in sys.modules if (m + '.').startswith({package + '.'!r})]; "
                 "assert not loaded, loaded")
@@ -583,6 +583,15 @@ class TestExitCodes:
         self.assert_loads_no(
             "scipy",
             "assert cli.main(['spectrum', '--synth', 'noise:n=4096', '--out', sys.argv[1]]) == 0",
+            str(tmp_path / "r"))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_analyze_loads_no_scipy(self, tmp_path, workers):
+        # 16 members are two chunks of 8, so "2" runs a pool of two workers
+        self.assert_loads_no(
+            "scipy",
+            "assert cli.main(['analyze', '--synth', 'noise:n=2048', '--surrogates', '16', "
+            f"'--workers', '{workers}', '--out', sys.argv[1]]) == 0",
             str(tmp_path / "r"))
 
     @pytest.mark.parametrize("call", [
@@ -671,7 +680,9 @@ class TestRunPipelineApi:
 # sha256 of each artifact of a run_pipeline run with orders 1 and 2, 16
 # surrogates and seed 11, and of the manifest's iaaft block as sorted JSON.
 # Captured with numpy 2.4.6 and scipy 1.17.1; a numerics change re-pins them
-# and says why.
+# and says why. The report_l*.json digests were last re-pinned when the OLS
+# p-values moved from scipy.special to mftest's own t and F tails (at most
+# 2.7e-14 relative apart here); every other digest is unchanged by that.
 GOLDEN_RUNS = {
     "noise:n=4096,seed=1": {
         "surface_l1.tsv": "4dd016a9e82c0e1b99cd667d6a0e6176e530888723c5bf26c6e38e007c61ad89",
@@ -686,8 +697,8 @@ GOLDEN_RUNS = {
         "delta_f_samples_l2.tsv": "e2e67f294c7d9020ec5544d8e161e95f3d7f56e40d274cc00495cfdcf18b7f8a",
         "report_l1.txt": "beb6a60e6139f6de403dbbd904e5b294adee5822a3adf50872042ae5fda5a1e7",
         "report_l2.txt": "ed15d66517bebf0a316308d83e27cd3c21b4c4fad507f2b98afc1eb01141262c",
-        "report_l1.json": "64bf20006ac7c88f789dd22d25e3db2f2ab347aec82f00fcd77fc8cf5b56b826",
-        "report_l2.json": "19569dc635079d488f80cd213020636a9bcd8fa13cf2c9de246be00d37e582db",
+        "report_l1.json": "cca090cb31209bacc8e11be39ae4dd6fde19ecebd15f56f07e5b39aa9cb8bd5c",
+        "report_l2.json": "671d21655d5dd7e1bbe8b7ee36ea942c4a899d707ff22c53d603785ec0aa9f58",
         "iaaft": "b1116a501fc22b69630ab98c334f732b1c9665aa38f0f46e5cee445c80bb131e",
     },
     "cascade:levels=12,p=0.3,seed=5": {
@@ -703,8 +714,8 @@ GOLDEN_RUNS = {
         "delta_f_samples_l2.tsv": "11f6e355125f730681dc59aab8fb66d3bdb151989841ac4f9da4d67607ce1137",
         "report_l1.txt": "90dfb737fe3ee5c68a07e9363adb049d531695a4f9135b4e065da73f487ac002",
         "report_l2.txt": "1ec0613bb81d59d76140063b480dd12a1d49d77e318a5c04831ab9fcd7bd1352",
-        "report_l1.json": "cdf13184e4893f5a9823d7e989f2b28c235066f5dca230d7939f18a1578337ad",
-        "report_l2.json": "1e940d566601a16be733e9b06f66ecb71850dba99666eff41d66dc8287beff27",
+        "report_l1.json": "a9520d133e587ebd0e22c2ce588cdbe0526fdd7a146462c01ceb68bd16d23aeb",
+        "report_l2.json": "ac95bd9b2366a78dd8d577ad968efbb2ead6ea19a5f535bb2252a624c7948e53",
         "iaaft": "5f18e6634a122f1b7447eb0819ef1f4dc513edc7e3d3d4d0e0d08005222cf084",
     },
 }
@@ -787,7 +798,7 @@ class TestSharedEnsemble:
         out = _pipeline(tmp_path, "r", (1, 2))
         assert len(seeds) == 6 and len(set(seeds)) == 6
         timings = json.loads((out / "manifest.json").read_text())["timings_s"]
-        assert set(timings) == {"load", "mfdfa_l1", "mfdfa_l2", "ensemble"}
+        assert set(timings) == {"load", "mfdfa_l1", "mfdfa_l2", "ensemble", "tests", "export"}
 
     def test_order_artifacts_independent_of_other_orders(self, tmp_path):
         both = _pipeline(tmp_path, "both", (1, 2))

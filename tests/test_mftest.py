@@ -18,6 +18,8 @@ from multifract.mftest import (
     VERDICT_APPARENT,
     VERDICT_INTRINSIC,
     VERDICT_NONE,
+    _f2_tail,
+    _t_tail,
     ensemble_statistics,
     format_report,
     quadratic_tau_fit,
@@ -145,9 +147,9 @@ class TestQuadraticTauFit:
             assert fit.model_p_value == pytest.approx(model_p, abs=1e-10)
             assert fit.r_squared == pytest.approx(r2, abs=1e-10)
 
-    def test_p_values_equal_scipy_stats_exactly(self):
-        # the fit uses scipy.special's t and F tails; they must be
-        # bit-identical to scipy.stats', zero t-statistics included
+    def test_p_values_match_scipy_stats(self):
+        # the fit's own t and F tails agree with scipy.stats' to 1e-12
+        # relative; a t-statistic of exactly 0 gives p = 1 exactly
         rng = np.random.default_rng(7)
         q = np.arange(-2.0, 3.0)
         fits = [quadratic_tau_fit(q, q * q)]  # linear coefficient exactly 0
@@ -157,19 +159,49 @@ class TestQuadraticTauFit:
         assert any(np.any(fit.t_stats == 0.0) for fit in fits)
         for fit in fits:
             expected = 2.0 * sps.t.sf(np.abs(fit.t_stats), fit.df_resid)
-            assert np.array_equal(fit.p_values, expected)
-            assert fit.model_p_value == sps.f.sf(fit.f_stat, 2, fit.df_resid)
+            np.testing.assert_allclose(fit.p_values, expected, rtol=1e-12, atol=0)
+            assert (fit.p_values[fit.t_stats == 0.0] == 1.0).all()
+            assert fit.model_p_value == pytest.approx(
+                sps.f.sf(fit.f_stat, 2, fit.df_resid), rel=1e-12, abs=0)
+        # every df a grid of up to 1001 q points gives, |t| from 1e-3 to 1e8
+        t = np.logspace(-3, 8, 45)
+        for df in range(1, 1001):
+            expected = 2.0 * sps.t.sf(t, df)
+            normal = expected >= np.finfo(float).tiny
+            got = np.array([_t_tail(v, df) for v in t[normal].tolist()])
+            np.testing.assert_allclose(got, expected[normal], rtol=1e-12, atol=0,
+                                       err_msg=f"df = {df}")
+        f = np.logspace(-6, 6, 25)
+        for df in (1, 2, 3, 10, 38, 101, 998):
+            got = np.array([_f2_tail(v, df) for v in f.tolist()])
+            np.testing.assert_allclose(got, sps.f.sf(f, 2, df), rtol=1e-12, atol=0)
+
+    def test_tails_equal_closed_forms(self):
+        # all of |t| from 1e-300 to 1e150, below 1e-3 too, where scipy's
+        # stdtr is itself off by up to 3e-9
+        t = np.concatenate([[0.0], np.logspace(-300, 150, 451)])
+        for v in t.tolist():
+            root = np.sqrt(2.0 + v * v)
+            for df, expected in ((1, 2 / np.pi * np.arctan2(1.0, v)),
+                                 (2, 2 / (root * (root + v)))):
+                assert _t_tail(v, df) == _t_tail(-v, df)
+                assert _t_tail(v, df) == pytest.approx(expected, rel=1e-12, abs=0), (v, df)
+        for df in (1, 2, 5, 38, 998):
+            for v in np.logspace(-300, 300, 61).tolist():
+                expected = (1 + 2 * v / df) ** (-df / 2)
+                assert _f2_tail(v, df) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_tail_functions_at_limits(self):
-        from scipy import special
-        t = np.array([0.0, 1.5, -3.0, np.inf, -np.inf])
-        for df in (1, 5, 38):
-            assert np.array_equal(2.0 * special.stdtr(df, -np.abs(t)),
-                                  2.0 * sps.t.sf(np.abs(t), df))
-            for f_stat in (0.0, 2.5, 1e30, np.inf):
-                assert special.fdtrc(2, df, f_stat) == sps.f.sf(f_stat, 2, df)
-            # below the support scipy.stats gives 1; the fit clamps F at 0 to match
-            assert special.fdtrc(2, df, 0.0) == sps.f.sf(-1e-12, 2, df) == 1.0
+        for df in (1, 5, 38, 998):
+            assert _t_tail(0.0, df) == 1.0
+            assert _t_tail(-0.0, df) == 1.0
+            assert _t_tail(np.inf, df) == _t_tail(-np.inf, df) == 0.0
+            assert np.isnan(_t_tail(np.nan, df))
+            # below the support the F tail is 1, as scipy.stats gives it
+            assert _f2_tail(0.0, df) == _f2_tail(-1e-12, df) == 1.0
+            assert _f2_tail(np.inf, df) == 0.0
+            assert _f2_tail(1e30, df) == pytest.approx(
+                sps.f.sf(1e30, 2, df), rel=1e-12, abs=0)
 
     def test_constant_tau(self):
         # H = 0 everywhere: ss_tot is 0 while rounding leaves ss_res > 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from multifract.cli import ensemble_spectra
 from multifract.errors import ConstantSeries, DataError, LengthTooShort
-from multifract.surrogate import IaaftConfig, _rank_order, derive_seed, iaaft
+from multifract.surrogate import IaaftConfig, _pocketfft, _rank_order, derive_seed, iaaft
 from multifract.synth import CascadeSpec, FbmSpec, binomial_cascade, fbm, gaussian_white_noise
 
 
@@ -109,6 +109,22 @@ class TestIaaft:
         x = gaussian_white_noise(1023, 13)
         result = iaaft(x, IaaftConfig(rng_seed=14))
         assert np.array_equal(np.sort(result.values), np.sort(x))
+
+
+class TestPocketfft:
+    @pytest.mark.parametrize("n", [8, 9, 17, 1000, 4096, 5799, 16384, 65537])
+    def test_bit_equal_to_scipy_fft(self, n):
+        # the calls iaaft makes, against the scipy.fft functions they stand for
+        from scipy import fft
+
+        x = gaussian_white_noise(n, n)
+        spectrum = _pocketfft().r2c(x, (0,), True, 0, None, 1)
+        assert spectrum.tobytes() == fft.rfft(x).tobytes()
+        inverse = _pocketfft().c2r(spectrum, (0,), n, False, 2, None, 1)
+        assert inverse.tobytes() == fft.irfft(spectrum, n).tobytes()
+
+    def test_loaded_once(self):
+        assert _pocketfft() is _pocketfft()
 
 
 class TestIaaftGolden:
