@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -197,6 +198,17 @@ def _iaaft_summary(diagnostics):
     }
 
 
+def _resources():
+    """Manifest block of the minor page faults and peak resident set so far,
+    of this process and of its reaped children (a pool's workers)."""
+    block = {}
+    for name, who in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):
+        usage = resource.getrusage(who)
+        # ru_maxrss is in KiB on Linux
+        block[name] = {"minor_faults": usage.ru_minflt, "peak_rss_mb": usage.ru_maxrss / 1024}
+    return block
+
+
 def _write_table(path, header, columns, fmt="%.17g"):
     table = np.column_stack(columns)
     np.savetxt(path, table, delimiter="\t", header="\t".join(header),
@@ -304,6 +316,7 @@ def run_pipeline(cfg):
                                "members": [int(derive_seed(cfg.seed, i))
                                            for i in range(min(cfg.surrogates, 16))]},
                         iaaft=_iaaft_summary(diagnostics),
+                        resources=_resources(),
                         width_test_size=size,
                         warnings=warnings)
     return reports

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import resource
 import shlex
 import shutil
 import subprocess
@@ -821,6 +822,19 @@ class TestSharedEnsemble:
         for name in ENSEMBLE_ARTIFACTS:
             assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
         assert _manifest_iaaft(serial) == _manifest_iaaft(pooled)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_manifest_records_resources(self, tmp_path, workers):
+        # the pool's workers are reaped before the manifest is written, so
+        # their faults reach the children's count; a serial run adds none
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        out = _pipeline(tmp_path, "r", (1,), workers=workers, surrogates=9)
+        block = json.loads((out / "manifest.json").read_text())["resources"]
+        assert set(block) == {"self", "children"}
+        for usage in block.values():
+            assert set(usage) == {"minor_faults", "peak_rss_mb"}
+        assert block["self"]["minor_faults"] > 0 and block["self"]["peak_rss_mb"] > 0
+        assert (block["children"]["minor_faults"] > before) == (workers > 1)
 
     @pytest.mark.parametrize("size, workers, asked",
                              [(16, 64, 2), (17, 64, 3), (6, 2, 1), (0, 2, 1)])
