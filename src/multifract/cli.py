@@ -28,7 +28,7 @@ from .mfdfa import (
     spectrum_from_surface,
 )
 from .mftest import ensemble_statistics, format_report, verdict, width_test_size
-from .surrogate import derive_seed, iaaft, IaaftConfig
+from .surrogate import derive_seed, iaaft, IaaftConfig, pocketfft_spec
 from .synth import CascadeSpec, FbmSpec, binomial_cascade, fbm, gaussian_white_noise
 
 ENV_PREFIX = "MULTIFRACT_"
@@ -266,6 +266,7 @@ def _run_directory(out_dir):
 def run_pipeline(cfg):
     """Full analysis per detrend order; writes all artifacts under the
     output directory and returns the per-order TestReports."""
+    pocketfft_spec()  # an install that cannot run IAAFT fails before any work
     timings = {}
     values, label, observed = observe(cfg, timings)
     reports = {}
@@ -519,7 +520,7 @@ def main(argv=None):
             # argparse exits 2 on bad flags, 0 on --help
             return exc.code if exc.code is not None else EXIT_CONFIG
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, ImportError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, OSError) as exc:

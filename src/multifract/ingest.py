@@ -2,7 +2,6 @@
 
 import csv
 import io
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -17,8 +16,6 @@ from .errors import (
     NonPositivePrice,
     SeriesTooShort,
 )
-
-log = logging.getLogger(__name__)
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
 
@@ -154,11 +151,11 @@ def _read_rows(path, reader, date_at, value_at):
         # a short row's missing cells read as empty
         raw_date = row[date_at].strip() if date_at < len(row) else ""
         raw_value = row[value_at].strip() if value_at < len(row) else ""
-        if not raw_date and not raw_value:
-            log.warning("%s: skipping blank row at line %d", path, lineno)
-            continue
         if not raw_date or not raw_value:
-            log.warning("%s: skipping incomplete row at line %d", path, lineno)
+            import logging  # only here: most loads skip no row
+            kind = "incomplete" if raw_date or raw_value else "blank"
+            logging.getLogger(__name__).warning("%s: skipping %s row at line %d",
+                                                path, kind, lineno)
             continue
         parsed_date = _parse_date(raw_date)
         if parsed_date is None:
@@ -176,15 +173,15 @@ def _read_rows(path, reader, date_at, value_at):
 
 
 def _read_plain(path, delimiter, ncols, date_at, value_at):
-    """Dates and prices of the body under a one-line header, parsed whole
-    by one np.loadtxt call, or None if the row loop might read any of it
-    otherwise. So it never raises and warns of nothing.
+    """Dates and prices of the body under a one-line header, parsed whole:
+    dates from their digit bytes, prices by one np.loadtxt call. None if the
+    row loop might read any of it otherwise, so it never raises or warns.
 
     The body must have no quote, CR or NUL, ncols - 1 delimiters on each
-    line, no line past csv's field limit, ASCII YYYY-MM-DD dates from year
-    1 on, strictly increasing, and prices numpy reads as finite and > 0.
-    Only the last line may lack its newline, and empty lines are dropped,
-    as the row loop skips them without a word."""
+    line, no line past csv's field limit, ASCII YYYY-MM-DD dates of real
+    days from year 1 on, strictly increasing, and prices numpy reads as
+    finite and > 0. Only the last line may lack its newline, and empty
+    lines are dropped, as the row loop skips them without a word."""
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():
             return None
@@ -192,10 +189,12 @@ def _read_plain(path, delimiter, ncols, date_at, value_at):
     if b'"' in body or b"\r" in body or b"\0" in body:
         return None
     body = body if body.endswith(b"\n") else body + b"\n"
-    if body.startswith(b"\n") or b"\n\n" in body:
-        body = re.sub(rb"\n+", b"\n", body).lstrip(b"\n")
     buf = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
+    if (np.diff(ends, prepend=-1) == 1).any():  # an empty line
+        body = re.sub(rb"\n+", b"\n", body).lstrip(b"\n")
+        buf = np.frombuffer(body, np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
     delims = np.flatnonzero(buf == ord(delimiter))
     if not len(ends) or (np.diff(np.searchsorted(delims, ends), prepend=0) != ncols - 1).any() \
             or (np.diff(ends, prepend=-1) > csv.field_size_limit() + 1).any():
@@ -205,17 +204,28 @@ def _read_plain(path, delimiter, ncols, date_at, value_at):
     stop = delims[date_at::ncols - 1] if date_at < ncols - 1 else ends
     if (stop - start != 10).any():
         return None
-    for k in range(10):
+    del ends, delims, stop  # 4 MB at 2^18 lines, freed before the dates are read
+    year, month, day = np.zeros((3, len(start)), np.int32)
+    for k, field in enumerate([year] * 4 + [None] + [month] * 2 + [None] + [day] * 2):
         byte = buf[start + k]
-        if (byte != ord("-") if k in (4, 7) else byte - ord("0") > 9).any():
+        if (byte != ord("-") if field is None else byte - ord("0") > 9).any():
             return None
-    try:
-        table = np.loadtxt(io.BytesIO(body), delimiter=delimiter, comments=None,
-                           usecols=(date_at, value_at), encoding="utf-8", ndmin=1,
-                           dtype=[("d", "datetime64[D]"), ("v", float)])
-    except ValueError:  # not UTF-8, or a date or price numpy rejects
+        if field is not None:
+            field *= 10
+            field += byte - ord("0")
+    # days on from month starts in numpy's calendar: numpy 2.4.6 can crash casting date text
+    months = year * 12 + month - (1970 * 12 + 1)
+    starts = np.arange(months.min(), months.max() + 2).astype("datetime64[M]")
+    starts = starts.astype("datetime64[D]")
+    months -= months.min()
+    days = starts[months] + (day - 1)
+    if ((month < 1) | (month > 12) | (day < 1) | (days >= starts[months + 1])).any():
         return None
-    days, prices = table["d"].copy(), table["v"].copy()  # contiguous, as the row loop's
+    try:
+        prices = np.loadtxt(io.BytesIO(body), delimiter=delimiter, comments=None,
+                            usecols=value_at, encoding="utf-8", ndmin=1, dtype=float)
+    except ValueError:  # not UTF-8, or a price numpy rejects
+        return None
     if not ((prices > 0) & (prices < np.inf)).all() or \
             days[0] < np.datetime64("0001-01-01") or (days[1:] <= days[:-1]).any():
         return None

@@ -26,9 +26,7 @@ from .errors import (
 # up on near-zero residuals).
 DEGENERACY_FLOOR_FACTOR = 1e-12
 
-# Most q points a grid may have. Each point is a row of the (n_q, boxes)
-# temporary that _power_means makes at every scale, 8 bytes a box: at the
-# cap, 2^18 returns at s = 20 (26,214 boxes) take 210 MB.
+# Most q points a grid may have: each is a row of every scale's power means.
 MAX_Q_POINTS = 1001
 
 # Most scales a grid may have, checked before the grid is allocated: a
@@ -43,6 +41,9 @@ MAX_SCALE_POINTS = 1001
 # time and gains no wall time. A block's temporaries stay at 512 KB, and a
 # series of up to 32,768 values fits every scale in one block.
 BOX_BLOCK = 1 << 16
+
+# Most (q, box) products in one block of _power_means: 1 MB, whatever the grid.
+POWER_BLOCK = 1 << 17
 
 
 def default_q_grid(q_min=-5.0, q_max=5.0, q_step=0.25):
@@ -215,15 +216,20 @@ def detrend_segment(values, order):
 def local_fluctuation(residuals):
     """Root mean square of a segment's detrended residuals, or of each row
     of a (k, s) array of them."""
-    residuals = np.asarray(residuals, dtype=float)
-    return np.sqrt(np.mean(residuals ** 2, axis=-1))
+    return _root_mean_square(np.array(residuals, dtype=float))
+
+
+def _root_mean_square(residuals):
+    """local_fluctuation of residuals, squared in place: np.mean's bits."""
+    squares = np.square(residuals, out=residuals)
+    return np.sqrt(np.add.reduce(squares, axis=-1) / residuals.shape[-1])
 
 
 def _box_fluctuations(values, s, order):
     """Local fluctuation of every box of length s, fitted in row blocks of
     at most BOX_BLOCK values, so a box's result depends on its block's
     values, not on the length of the series."""
-    return np.concatenate([local_fluctuation(detrend_segment(block, order))
+    return np.concatenate([_root_mean_square(detrend_segment(block, order))
                            for block in _box_blocks(values, s)])
 
 
@@ -234,16 +240,19 @@ def _power_means(log_fv, q_grid):
     # below would lose every digit of the result. This is np.isclose(q, 0)
     # with its default atol, written out because it runs at every scale.
     zero_q = np.abs(q_grid) <= 1e-8
-    # log-domain power mean: peak-shifted with expm1/log1p so the result
-    # degrades gracefully into the geometric mean as q -> 0
-    scaled = q_grid[:, None] * log_fv[None, :]
     # each row's max: rounding is monotone, so q*x never falls as x rises for
     # q >= 0 and never rises for q < 0: q*max(log_fv) or q*min(log_fv), bitwise
     peak = q_grid * np.where(q_grid >= 0, log_fv.max(), log_fv.min())
-    # in place, so the products are the only (n_q, k) temporary
-    np.subtract(scaled, peak[:, None], out=scaled)
-    log_means = np.log1p(np.expm1(scaled, out=scaled).mean(axis=1))
-    means = np.exp((peak + log_means) / np.where(zero_q, 1.0, q_grid))
+    # log-domain power mean: peak-shifted with expm1/log1p so the result
+    # degrades gracefully into the geometric mean as q -> 0. A block of q
+    # rows at a time, each row's products, expm1 and mean as in one block
+    means = np.empty(len(q_grid))
+    rows = max(POWER_BLOCK // len(log_fv), 1)
+    for i in range(0, len(q_grid), rows):
+        scaled = q_grid[i:i + rows, None] * log_fv
+        np.subtract(scaled, peak[i:i + rows, None], out=scaled)
+        means[i:i + rows] = np.expm1(scaled, out=scaled).mean(axis=1)
+    means = np.exp((peak + np.log1p(means)) / np.where(zero_q, 1.0, q_grid))
     means[zero_q] = np.exp(np.mean(log_fv))
     return means
 

@@ -2,6 +2,8 @@
 spectrum preserved up to a reported residual, nonlinear correlations
 destroyed."""
 
+import importlib.machinery
+import importlib.util
 import os
 from dataclasses import dataclass
 from functools import cache
@@ -67,6 +69,19 @@ def _rank_order(values, index, low):
     return np.argsort(values)
 
 
+def pocketfft_spec():
+    """scipy.fft's pocketfft extension, found but not loaded; ImportError if absent."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    where = os.path.join(root, "fft", "_pocketfft")
+    finder = importlib.machinery.FileFinder(where, (
+        importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.fft._pocketfft.pypocketfft")
+    if spec is None:
+        from importlib.metadata import version
+        raise ImportError(f"no pypocketfft extension in {where} (scipy {version('scipy')})")
+    return spec
+
+
 @cache
 def _pocketfft():
     """scipy.fft's compiled pocketfft extension, loaded from its file and kept
@@ -78,18 +93,8 @@ def _pocketfft():
     that space, where a small heap was trimmed after every transform and
     faulted back in (~164 minor faults per IAAFT pass at 5,799 points)."""
     import ctypes
-    import importlib.machinery
-    import importlib.util
 
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    where = os.path.join(root, "fft", "_pocketfft")
-    finder = importlib.machinery.FileFinder(where, (
-        importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.fft._pocketfft.pypocketfft")
-    if spec is None:
-        from importlib.metadata import version
-
-        raise ImportError(f"no pypocketfft extension in {where} (scipy {version('scipy')})")
+    spec = pocketfft_spec()
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
 

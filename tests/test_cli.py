@@ -11,6 +11,7 @@ import sys
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -579,6 +580,40 @@ class TestExitCodes:
 
     def test_import_does_not_load_scipy_fft(self):
         self.assert_loads_no("scipy", "cli.build_parser()")
+
+    def test_parser_loads_no_logging(self):
+        # ingest imports logging only when its row loop skips a row
+        self.assert_loads_no("logging", "cli.build_parser()")
+
+    def test_missing_pocketfft_extension_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # found by the extension's lookup before the input is read
+        find_spec = importlib.util.find_spec
+
+        def elsewhere(name, *args):
+            if name == "scipy":
+                return SimpleNamespace(submodule_search_locations=[str(tmp_path / "scipy")])
+            return find_spec(name, *args)
+
+        monkeypatch.setattr(importlib.util, "find_spec", elsewhere)
+        out = tmp_path / "r"
+        assert main(["analyze", "--synth", "noise:n=2048", "--surrogates", "4",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        where = tmp_path / "scipy" / "fft" / "_pocketfft"
+        assert err.startswith(f"config error: no pypocketfft extension in {where} (scipy ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_pool_parent_loads_no_pocketfft(self, tmp_path):
+        # the lookup before the run loads nothing: only the workers load the
+        # extension and set the heap pad
+        code = ("import sys, multifract.cli as cli, multifract.surrogate as surrogate; "
+                "assert cli.main(['analyze', '--synth', 'noise:n=2048', '--surrogates', '16', "
+                "'--workers', '2', '--out', sys.argv[1]]) == 0; "
+                "assert surrogate._pocketfft.cache_info().currsize == 0")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "r")], check=True,
+                       env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL)
 
     def test_spectrum_loads_no_scipy(self, tmp_path):
         self.assert_loads_no(

@@ -1,3 +1,4 @@
+import calendar
 import hashlib
 import logging
 import math
@@ -360,6 +361,56 @@ class TestColumnWisePath:
         assert entries == [1]
         assert result == row_loop_outcome(path)
         assert result[1] == [f"{path}: skipping incomplete row at line 60001"]
+
+
+# day ordinals from 0001-01-01 to 9999-12-31, leap days and month ends
+# drawn on their own, as the plain path reads them from their digits
+DAY_ORDINALS = st.one_of(
+    st.integers(1, date.max.toordinal()),
+    st.integers(1, 2499).map(lambda k: 4 * k).filter(calendar.isleap).map(
+        lambda year: date(year, 2, 29).toordinal()),
+    st.tuples(st.integers(1, 9999), st.integers(1, 12)).map(
+        lambda ym: date(*ym, calendar.monthrange(*ym)[1]).toordinal()),
+    st.sampled_from([1, date.max.toordinal()]),
+)
+
+
+class TestPlainDates:
+    @settings(max_examples=200, deadline=None)
+    @given(ordinals=st.lists(DAY_ORDINALS, min_size=2, max_size=40, unique=True).map(sorted),
+           price=st.floats(1e-3, 1e6))
+    @example(ordinals=[1, date.max.toordinal()], price=1.0)
+    @example(ordinals=[date(1900, 2, 28).toordinal(), date(1900, 3, 1).toordinal(),
+                       date(2000, 2, 29).toordinal()], price=1.0)
+    def test_valid_dates_match_the_row_loop(self, tmp_path_factory, ordinals, price):
+        path = tmp_path_factory.mktemp("csv") / "prices.csv"
+        path.write_text("date,value\n" + "".join(
+            f"{date.fromordinal(day).isoformat()},{price * (i + 1)!r}\n"
+            for i, day in enumerate(ordinals)))
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError):
+            plain = outcome(path)
+        assert plain == row_loop_outcome(path)
+
+    @pytest.mark.parametrize("bad", ["1900-02-29", "2001-04-31", "2001-00-10", "2001-13-10",
+                                     "2001-05-00", "2001-05-32", "0000-01-01"])
+    def test_invalid_date_goes_to_the_row_loop(self, tmp_path, bad):
+        path = write_csv(tmp_path, f"date,value\n1899-01-02,1\n1899-01-03,2\n{bad},3\n"
+                                   "2100-01-01,4\n")
+        with mock.patch.object(ingest, "_read_rows", wraps=ingest._read_rows) as rows:
+            with pytest.raises(MalformedRow) as exc:
+                load_price_csv(path, "date", "value")
+        assert rows.called
+        assert str(exc.value) == f"line 4: bad date {bad!r}"
+
+    def test_invalid_last_date_of_1000_rows(self, tmp_path):
+        # numpy 2.4.6 crashes casting the text of these 1,000 dates to
+        # datetime64[D]; the plain path casts no date text
+        days = (np.datetime64("1988-01-01") + np.arange(999)).astype(str).tolist()
+        path = write_csv(tmp_path, "date,value\n" + "".join(
+            f"{day},{100 + i}\n" for i, day in enumerate(days + ["1991-02-29"])))
+        with pytest.raises(MalformedRow) as exc:
+            load_price_csv(path, "date", "value")
+        assert str(exc.value) == "line 1001: bad date '1991-02-29'"
 
 
 def long_csv(tmp_path, column=None, row=None, text=None):

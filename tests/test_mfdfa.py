@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,14 @@ class TestLocalFluctuation:
         assert local_fluctuation(np.ones(4)) == 1.0
         assert math.isclose(local_fluctuation([1.0, 2.0, 3.0]), math.sqrt(14 / 3), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(57,), (1, 20), (3276, 20), (131, 500)])
+    def test_np_mean_bits_and_input_unchanged(self, shape):
+        residuals = np.random.default_rng(5).normal(size=shape)
+        before = residuals.copy()
+        expected = np.sqrt(np.mean(residuals ** 2, axis=-1))
+        assert np.asarray(local_fluctuation(residuals)).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(residuals, before)
+
 
 class TestOverallFluctuation:
     def test_constant_locals(self):
@@ -292,6 +301,48 @@ class TestPowerMeanPeak:
             new = overall_fluctuation(fv, q, floor=0)
             old = float(row_max_power_means(np.log(fv), [q])[0])
         assert np.float64(new).tobytes() == np.float64(old).tobytes()
+
+
+def one_block_power_means(log_fv, q_grid):
+    """_power_means with every q row's products in one (n_q, k) block: the
+    reference the blocks of q rows must match bit for bit."""
+    q_grid = np.asarray(q_grid, dtype=float)
+    zero_q = np.abs(q_grid) <= 1e-8
+    scaled = q_grid[:, None] * log_fv[None, :]
+    peak = q_grid * np.where(q_grid >= 0, log_fv.max(), log_fv.min())
+    np.subtract(scaled, peak[:, None], out=scaled)
+    log_means = np.log1p(np.expm1(scaled, out=scaled).mean(axis=1))
+    means = np.exp((peak + log_means) / np.where(zero_q, 1.0, q_grid))
+    means[zero_q] = np.exp(np.mean(log_fv))
+    return means
+
+
+class TestPowerMeanBlocks:
+    GRIDS = {4: np.array([-2.0, 0.0, 2.0, 5.0]), 41: default_q_grid(),
+             1001: default_q_grid(-5, 5, 0.01)}
+
+    # a block holds at most 2^17 cells: 32 rows of 4,096 boxes, 5 of 26,214
+    @pytest.mark.parametrize("boxes", [1, 2, 1000, 4096, 4097, 26_214])
+    @pytest.mark.parametrize("points", [4, 41, 1001])
+    def test_matches_one_block(self, points, boxes):
+        log_fv = np.log(np.random.default_rng(boxes).lognormal(0, 2, boxes))
+        q_grid = self.GRIDS[points]
+        assert mfdfa._power_means(log_fv, q_grid).tobytes() == \
+            one_block_power_means(log_fv, q_grid).tobytes()
+
+    def test_long_surface_keeps_its_temporaries_small(self):
+        # 2^18 values and 1,001 q points: one block of (q, box) products at
+        # s = 20 (26,214 boxes) would take 210 MB
+        profile = make_profile(gaussian_white_noise(2 ** 18, 17))
+        cfg = AnalysisConfig(q_grid=self.GRIDS[1001], scale_grid=np.array([20, 80, 316]))
+        fluctuation_surface(profile, cfg)  # builds the cached fit bases first
+        tracemalloc.start()
+        try:
+            fluctuation_surface(profile, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestSurface:
