@@ -44,6 +44,7 @@ from .surrogate import IaaftConfig, IaaftResult, iaaft
 from .synth import (
     CascadeSpec,
     FbmSpec,
+    NoiseSpec,
     binomial_cascade,
     cascade_analytic_hq,
     fbm,

@@ -4,7 +4,6 @@ IAAFT ensemble -> tests -> verdict report and plot-ready tables."""
 import argparse
 import hashlib
 import json
-import os
 import resource
 import sys
 import time
@@ -29,9 +28,7 @@ from .mfdfa import (
 )
 from .mftest import ensemble_statistics, format_report, verdict, width_test_size
 from .surrogate import derive_seed, iaaft, IaaftConfig, pocketfft_spec
-from .synth import CascadeSpec, FbmSpec, binomial_cascade, fbm, gaussian_white_noise
-
-ENV_PREFIX = "MULTIFRACT_"
+from .synth import KINDS, make_spec, parse_synth_spec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,6 +64,7 @@ class RunConfig:
             raise ValueError("alpha level must lie strictly between 0 and 1")
         if not self.detrend_orders:
             raise ValueError("at least one detrend order required")
+        object.__setattr__(self, "detrend_orders", tuple(sorted(set(self.detrend_orders))))
         if bool(self.input_path) == bool(self.synth_spec):
             raise ValueError("exactly one of an input path and a synth spec is required")
         # the grid builders and AnalysisConfig hold the rules on q, s and order
@@ -81,54 +79,11 @@ class RunConfig:
         )
 
 
-# each --synth kind's keys, as (cast, default); the names are the
-# parameters of the kind's generator, and an unseeded cascade is unshuffled
-SYNTH_KEYS = {
-    "cascade": {"levels": (int, 16), "p": (float, 0.3), "seed": (int, None)},
-    "fbm": {"n": (int, 16384), "hurst": (float, 0.5), "seed": (int, 0)},
-    "noise": {"n": (int, 16384), "seed": (int, 0)},
-}
-
-
-def parse_synth_spec(spec):
-    """'kind:key=value,...' -> (kind, params), every key of the kind cast
-    and defaulted from SYNTH_KEYS."""
-    kind, _, rest = (part.strip() for part in spec.partition(":"))
-    if kind not in SYNTH_KEYS:
-        raise ValueError(f"unknown synth kind {kind!r}")
-    keys = SYNTH_KEYS[kind]
-    params = {key: default for key, (_, default) in keys.items()}
-    for item in rest.split(",") if rest else ():
-        key, _, value = (part.strip() for part in item.partition("="))
-        if key not in keys:
-            raise ValueError(f"synth kind {kind!r} takes no key {key!r}; "
-                             f"its keys are {', '.join(keys)}")
-        cast = keys[key][0]
-        try:
-            params[key] = cast(value)
-        except ValueError:
-            raise ValueError(f"synth spec {spec!r}: {key}={value!r} is not a valid "
-                             f"{cast.__name__}") from None
-    return kind, params
-
-
-def synth_series(spec):
-    """Return series named by a synth spec string (used as returns input)."""
-    kind, params = parse_synth_spec(spec)
-    if kind == "cascade":
-        masses = binomial_cascade(CascadeSpec(**params))
-        return masses, f"cascade(levels={params['levels']},p={params['p']})"
-    if kind == "fbm":
-        path = fbm(FbmSpec(**params))
-        return np.diff(np.concatenate([[0.0], path])), f"fbm(H={params['hurst']})"
-    return gaussian_white_noise(**params), "gaussian-noise"
-
-
 def load_returns(cfg):
     """The run's returns and label, in a frame of their own so that a CSV's
     prices and dates are freed before observe fits the series."""
     if cfg.synth_spec:
-        return synth_series(cfg.synth_spec)
+        return parse_synth_spec(cfg.synth_spec).series()
     prices = load_price_csv(cfg.input_path, cfg.date_col, cfg.value_col)
     return log_returns(prices).values, prices.label
 
@@ -358,22 +313,19 @@ def format_comparison(comparison):
 
 
 def _add_config_flag(parser, flag, cast=str, field=None):
-    """Add --<flag>, cast into the RunConfig field named by field or else by
-    the flag; MULTIFRACT_<FLAG> in the environment replaces its default."""
-    field = field or flag.replace("-", "_")
-    metavar = flag.upper().replace("-", "_")
-    name = ENV_PREFIX + metavar
-    raw = os.environ.get(name)
-    try:
-        default = getattr(RunConfig, field) if raw is None else cast(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
-    parser.add_argument(f"--{flag}", dest=field, metavar=metavar, type=cast, default=default)
+    """Add --<flag>, cast into the RunConfig field named by field or the flag."""
+    parser.add_argument(f"--{flag}", dest=field or flag.replace("-", "_"),
+                        metavar=flag.upper().replace("-", "_"), type=cast)
 
 
-def _add_grid_flags(parser):
-    parser.add_argument("--detrend-order", action="append", type=int, metavar="{1,2}",
-                        help="polynomial detrend order; repeatable")
+def _add_series_flags(parser):
+    _add_config_flag(parser, "input", field="input_path")
+    parser.add_argument("--synth", dest="synth_spec", metavar="SYNTH",
+                        help="generator spec, e.g. cascade:levels=16,p=0.3")
+    _add_config_flag(parser, "date-col")
+    _add_config_flag(parser, "value-col")
+    parser.add_argument("--detrend-order", dest="detrend_orders", action="append", type=int,
+                        metavar="{1,2}", help="polynomial detrend order; repeatable")
     _add_config_flag(parser, "q-min", float)
     _add_config_flag(parser, "q-max", float)
     _add_config_flag(parser, "q-step", float)
@@ -382,12 +334,13 @@ def _add_grid_flags(parser):
     _add_config_flag(parser, "s-count", int)
 
 
-def _add_input_flags(parser):
-    _add_config_flag(parser, "input", field="input_path")
-    parser.add_argument("--synth", dest="synth_spec", metavar="SYNTH",
-                        help="generator spec, e.g. cascade:levels=16,p=0.3")
-    _add_config_flag(parser, "date-col")
-    _add_config_flag(parser, "value-col")
+def _synth_keys():
+    """Each key of some synth kind -> 'kind default' of each kind taking it."""
+    keys = {}
+    for kind, spec in KINDS.items():
+        for field in fields(spec):
+            keys.setdefault(field.name, []).append(f"{kind} {field.default}")
+    return keys
 
 
 def build_parser():
@@ -396,34 +349,29 @@ def build_parser():
         description="MF-DFA multifractality analysis with IAAFT surrogate tests",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a flag left out sets nothing, so RunConfig's and the specs' defaults stand
+    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                         argument_default=argparse.SUPPRESS)
 
-    analyze = sub.add_parser("analyze", help="full pipeline to verdict report")
-    _add_input_flags(analyze)
-    _add_grid_flags(analyze)
+    analyze = add_parser("analyze", help="full pipeline to verdict report")
+    _add_series_flags(analyze)
     _add_config_flag(analyze, "surrogates", int)
     _add_config_flag(analyze, "seed", int)
     _add_config_flag(analyze, "alpha-level", float)
     _add_config_flag(analyze, "out", field="out_dir")
     _add_config_flag(analyze, "workers", int)
 
-    spectrum = sub.add_parser("spectrum", help="MF-DFA only, no surrogates")
-    _add_input_flags(spectrum)
-    _add_grid_flags(spectrum)
+    spectrum = add_parser("spectrum", help="MF-DFA only, no surrogates")
+    _add_series_flags(spectrum)
     _add_config_flag(spectrum, "out", field="out_dir")
 
-    synth = sub.add_parser("synth", help="emit a generator series as CSV")
-    synth.add_argument("--kind", required=True, choices=SYNTH_KEYS)
-    synth.add_argument("--levels", type=int)
-    synth.add_argument("--p", type=float)
-    synth.add_argument("--n", type=int)
-    synth.add_argument("--hurst", type=float)
-    synth.add_argument("--seed", type=int,
-                       help="generator seed; fbm and noise use 0 when unset, "
-                            "cascade is then unshuffled")
+    synth = add_parser("synth", help="emit a generator series as CSV")
+    synth.add_argument("--kind", required=True, choices=KINDS)
+    for key, defaults in _synth_keys().items():
+        synth.add_argument(f"--{key}", help=f"spec key; default {', '.join(defaults)}")
     synth.add_argument("--out", required=True, help="output CSV path")
 
-    compare = sub.add_parser("compare", help="compare detrend orders of one run")
+    compare = add_parser("compare", help="compare detrend orders of one run")
     compare.add_argument("--run-dir", required=True,
                          help="run directory holding report_l1.json and report_l2.json")
     compare.add_argument("--out", default=None, help="optional comparison output file")
@@ -431,11 +379,8 @@ def build_parser():
 
 
 def _run_config_from_args(args):
-    # each flag's dest is its RunConfig field; spectrum has no ensemble
-    # flags, so RunConfig's defaults stand in for them
-    names = {field.name for field in fields(RunConfig)}
-    given = {key: value for key, value in vars(args).items() if key in names}
-    return RunConfig(detrend_orders=tuple(sorted(set(args.detrend_order or [1]))), **given)
+    # every parsed name but the command is a given flag's RunConfig field
+    return RunConfig(**{key: value for key, value in vars(args).items() if key != "command"})
 
 
 def _cmd_analyze(args):
@@ -478,10 +423,10 @@ def _synth_prices(values):
 
 
 def _cmd_synth(args):
-    # every flag given, so one the kind does not take is a config error
-    given = [f"{key}={getattr(args, key)}" for key in ("levels", "p", "n", "hurst", "seed")
-             if getattr(args, key) is not None]
-    values, _ = synth_series(f"{args.kind}:{','.join(given)}")
+    # every key flag given, cast as --synth casts it, so one the kind does
+    # not take is a config error
+    given = [(key, getattr(args, key)) for key in _synth_keys() if hasattr(args, key)]
+    values, _ = make_spec(args.kind, given, f"synth --kind {args.kind}").series()
     prices = _synth_prices(values)
     # synthesized calendar so the file round-trips through the CSV loader
     dates = (np.datetime64("2000-01-01") + np.arange(len(prices))).astype(str)
@@ -512,13 +457,11 @@ def main(argv=None):
     handlers = {"analyze": _cmd_analyze, "spectrum": _cmd_spectrum,
                 "synth": _cmd_synth, "compare": _cmd_compare}
     try:
-        # building the parser casts the MULTIFRACT_* environment defaults
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits 2 on bad flags, 0 on --help
-            return exc.code if exc.code is not None else EXIT_CONFIG
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad flags, 0 on --help
+        return exc.code if exc.code is not None else EXIT_CONFIG
+    try:
         return handlers[args.command](args)
     except (ValueError, ImportError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -166,6 +166,10 @@ def make_profile(returns):
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise DataError(f"return {bad[0]} is {values[bad[0]]}, not a finite number")
+    # all zero is a flat profile, which validate_profile names
+    if len(values) and values.min() == values.max() != 0:
+        raise DegenerateSeries(f"every return is {values[0]}: the profile is a straight "
+                               "line, which every detrend order removes")
     return Profile(np.cumsum(values))
 
 

@@ -71,7 +71,10 @@ def _rank_order(values, index, low):
 
 def pocketfft_spec():
     """scipy.fft's pocketfft extension, found but not loaded; ImportError if absent."""
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed: IAAFT runs on its pocketfft extension")
+    root = scipy.submodule_search_locations[0]
     where = os.path.join(root, "fft", "_pocketfft")
     finder = importlib.machinery.FileFinder(where, (
         importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))

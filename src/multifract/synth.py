@@ -2,7 +2,7 @@
 oracles in validation: binomial cascades, fractional Brownian motion,
 and Gaussian white noise."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,10 +16,12 @@ from .errors import EmbeddingFailure
 MAX_POINTS = 1 << 21
 
 
+# A kind's spec dataclass is the one home of its keys: each field is a key,
+# with its type as cast and its default; series() gives returns and label.
 @dataclass(frozen=True)
 class CascadeSpec:
-    levels: int
-    p: float
+    levels: int = 16
+    p: float = 0.3
     seed: int = None  # when set, the (p, 1-p) pair is shuffled per split
 
     def __post_init__(self):
@@ -31,11 +33,14 @@ class CascadeSpec:
             raise ValueError(f"levels {self.levels} give 2^{self.levels} cells, more than "
                              f"synth.MAX_POINTS = {MAX_POINTS}")
 
+    def series(self):
+        return binomial_cascade(self), f"cascade(levels={self.levels},p={self.p})"
+
 
 @dataclass(frozen=True)
 class FbmSpec:
-    n: int
-    hurst: float
+    n: int = 16384
+    hurst: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -44,6 +49,48 @@ class FbmSpec:
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two")
         _check_points(self.n)
+
+    def series(self):
+        return np.diff(np.concatenate([[0.0], fbm(self)])), f"fbm(H={self.hurst})"
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    n: int = 16384
+    seed: int = 0
+
+    def series(self):
+        return gaussian_white_noise(self.n, self.seed), "gaussian-noise"
+
+
+KINDS = {"cascade": CascadeSpec, "fbm": FbmSpec, "noise": NoiseSpec}
+
+
+def make_spec(kind, items, source):
+    """The spec of kind from (key, text) pairs, each text cast by the type of
+    the field its key names; source names where the pairs came from in errors."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown synth kind {kind!r}")
+    casts = {field.name: field.type for field in fields(KINDS[kind])}
+    params = {}
+    for key, text in items:
+        if key not in casts:
+            raise ValueError(f"synth kind {kind!r} takes no key {key!r}; "
+                             f"its keys are {', '.join(casts)}")
+        try:
+            params[key] = casts[key](text)
+        except ValueError:
+            raise ValueError(f"{source}: {key}={text!r} is not a valid "
+                             f"{casts[key].__name__}") from None
+    return KINDS[kind](**params)
+
+
+def parse_synth_spec(spec):
+    """'kind:key=value,...' -> the kind's spec."""
+    kind, _, rest = (part.strip() for part in spec.partition(":"))
+    items = (item.partition("=") for item in rest.split(",")) if rest else ()
+    return make_spec(kind, [(key.strip(), text.strip()) for key, _, text in items],
+                     f"synth spec {spec!r}")
 
 
 def _check_points(n):

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from datetime import date, timedelta
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multifract import cli, mfdfa
+import multifract
+from multifract import cli, mfdfa, synth
 from multifract.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -27,37 +29,41 @@ from multifract.cli import (
     RunConfig,
     compare_orders,
     main,
-    parse_synth_spec,
     run_pipeline,
-    synth_series,
 )
 from multifract.errors import AllBoxesDegenerate
 from multifract.ingest import load_price_csv, log_returns
 from multifract.mftest import width_test_size
 from multifract.surrogate import IaaftConfig, derive_seed, iaaft
-from multifract.synth import MAX_POINTS, CascadeSpec, binomial_cascade
+from multifract.synth import (
+    KINDS,
+    MAX_POINTS,
+    CascadeSpec,
+    NoiseSpec,
+    binomial_cascade,
+    parse_synth_spec,
+)
 
 
 class TestSynthSpecParsing:
     def test_kind_only(self):
-        assert parse_synth_spec("noise") == ("noise", {"n": 16384, "seed": 0})
+        assert parse_synth_spec("noise") == NoiseSpec(n=16384, seed=0)
 
     def test_params(self):
-        kind, params = parse_synth_spec("cascade:levels=12,p=0.3,seed=1")
-        assert kind == "cascade"
-        assert params == {"levels": 12, "p": 0.3, "seed": 1}
+        assert parse_synth_spec("cascade:levels=12,p=0.3,seed=1") == \
+            CascadeSpec(levels=12, p=0.3, seed=1)
 
     def test_series_kinds(self):
-        cascade, _ = synth_series("cascade:levels=10,p=0.3")
+        cascade, _ = parse_synth_spec("cascade:levels=10,p=0.3").series()
         assert len(cascade) == 1024 and abs(cascade.sum() - 1.0) < 1e-12
-        fbm_inc, _ = synth_series("fbm:n=1024,hurst=0.7,seed=2")
+        fbm_inc, _ = parse_synth_spec("fbm:n=1024,hurst=0.7,seed=2").series()
         assert len(fbm_inc) == 1024
-        noise, _ = synth_series("noise:n=500,seed=1")
+        noise, _ = parse_synth_spec("noise:n=500,seed=1").series()
         assert len(noise) == 500
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            synth_series("brownian:n=10")
+            parse_synth_spec("brownian:n=10")
 
     def test_uncast_value_names_key_value_and_spec(self):
         with pytest.raises(ValueError) as info:
@@ -65,15 +71,15 @@ class TestSynthSpecParsing:
         assert str(info.value) == "synth spec 'noise:n=abc': n='abc' is not a valid int"
 
     def test_cascade_seed_shuffles(self):
-        one, _ = synth_series("cascade:levels=8,p=0.3,seed=1")
-        two, _ = synth_series("cascade:levels=8,p=0.3,seed=2")
-        again, _ = synth_series("cascade:levels=8,p=0.3,seed=1")
+        one, _ = parse_synth_spec("cascade:levels=8,p=0.3,seed=1").series()
+        two, _ = parse_synth_spec("cascade:levels=8,p=0.3,seed=2").series()
+        again, _ = parse_synth_spec("cascade:levels=8,p=0.3,seed=1").series()
         assert not np.array_equal(one, two)
         assert np.array_equal(one, again)
         assert np.array_equal(np.sort(one), np.sort(two))
 
     def test_unseeded_cascade_is_deterministic(self):
-        masses, _ = synth_series("cascade:levels=8,p=0.3")
+        masses, _ = parse_synth_spec("cascade:levels=8,p=0.3").series()
         assert np.array_equal(masses, binomial_cascade(CascadeSpec(8, 0.3)))
 
 
@@ -99,6 +105,9 @@ class TestRunConfig:
     def test_rejects_scale_grid_short_of_s_count(self):
         with pytest.raises(ValueError, match="round to 8 distinct"):
             RunConfig(synth_spec="noise", s_min=5, s_max=12, s_count=30)
+
+    def test_detrend_orders_sorted_without_repeats(self):
+        assert RunConfig(synth_spec="noise", detrend_orders=(2, 1, 1)).detrend_orders == (1, 2)
 
     def test_analysis_config_grids(self):
         cfg = RunConfig(synth_spec="noise", q_step=0.5, s_min=10, s_max=100)
@@ -193,7 +202,27 @@ class TestPipeline:
         assert not (out / "manifest.json").exists()
 
 
+# every key of every synth kind, with a valid value other than its default:
+# half of it, or 1 where the default is 0 or None
+SPEC_KEYS = [
+    pytest.param(kind, field.name,
+                 field.default / 2 if field.type is float else field.default // 2 if field.default else 1,
+                 id=f"{kind}-{field.name}")
+    for kind, spec in KINDS.items() for field in fields(spec)
+]
+
+
 class TestSynthCommand:
+    @pytest.mark.parametrize("kind, key, value", SPEC_KEYS)
+    def test_flag_writes_the_series_the_spec_analyses(self, tmp_path, kind, key, value):
+        path = tmp_path / "prices.csv"
+        assert main(["synth", "--kind", kind, f"--{key}", str(value),
+                     "--out", str(path)]) == EXIT_OK
+        expected, _ = cli.load_returns(RunConfig(synth_spec=f"{kind}:{key}={value}"))
+        assert not np.array_equal(expected, KINDS[kind]().series()[0])
+        recovered = log_returns(load_price_csv(path, "date", "value")).values
+        np.testing.assert_allclose(recovered, expected, rtol=0, atol=1e-12)
+
     def test_round_trip_through_csv_loader(self, tmp_path):
         path = tmp_path / "prices.csv"
         assert main(["synth", "--kind", "noise", "--n", "512",
@@ -201,7 +230,7 @@ class TestSynthCommand:
         series = load_price_csv(path, "date", "value")
         assert len(series) == 513
         recovered = log_returns(series).values
-        expected, _ = synth_series("noise:n=512,seed=3")
+        expected, _ = parse_synth_spec("noise:n=512,seed=3").series()
         np.testing.assert_allclose(recovered, expected, atol=1e-9)
 
     def test_cascade_csv(self, tmp_path):
@@ -219,7 +248,7 @@ class TestSynthCommand:
 
         unseeded = binomial_cascade(CascadeSpec(8, 0.3))
         np.testing.assert_allclose(recovered(), unseeded, atol=1e-12)
-        seeded, _ = synth_series("cascade:levels=8,p=0.3,seed=4")
+        seeded, _ = parse_synth_spec("cascade:levels=8,p=0.3,seed=4").series()
         np.testing.assert_allclose(recovered("--seed", "4"), seeded, atol=1e-12)
         assert not np.allclose(seeded, unseeded)
 
@@ -230,7 +259,7 @@ class TestSynthCommand:
                      "--seed", "1", "--out", str(path)]) == EXIT_OK
         series = load_price_csv(path, "date", "value")
         assert np.all(series.values >= np.finfo(float).tiny)
-        expected, _ = synth_series("fbm:n=16384,hurst=0.7,seed=1")
+        expected, _ = parse_synth_spec("fbm:n=16384,hurst=0.7,seed=1").series()
         np.testing.assert_allclose(log_returns(series).values, expected, atol=1e-9)
 
     def test_walk_too_wide_for_float_prices_is_config_error(self, tmp_path, capsys):
@@ -324,14 +353,9 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])
-    @pytest.mark.parametrize("flags, env", [
-        (["--q-max=inf"], {}), (["--q-min=-inf"], {}), (["--q-max=nan"], {}),
-        ([], {"MULTIFRACT_Q_MAX": "inf"}),
-    ], ids=["q_max_inf", "q_min_inf", "q_max_nan", "env_q_max_inf"])
-    def test_non_finite_q_bounds_rejected_before_output(self, tmp_path, capsys, monkeypatch,
-                                                        command, flags, env):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    @pytest.mark.parametrize("flags", [["--q-max=inf"], ["--q-min=-inf"], ["--q-max=nan"]],
+                             ids=["q_max_inf", "q_min_inf", "q_max_nan"])
+    def test_non_finite_q_bounds_rejected_before_output(self, tmp_path, capsys, command, flags):
         out = tmp_path / "r"
         assert main([command, "--synth", "noise:n=4096", *flags,
                      "--out", str(out)]) == EXIT_CONFIG
@@ -383,19 +407,6 @@ class TestExitCodes:
         args = cli.build_parser().parse_args([command, "--synth", "noise"])
         assert cli._run_config_from_args(args) == RunConfig(synth_spec="noise")
 
-    def test_env_var_defaults(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MULTIFRACT_S_MAX", "128")
-        monkeypatch.setenv("MULTIFRACT_S_MIN", "10")
-        out = tmp_path / "env"
-        code = main(["spectrum", "--synth", "noise:n=512,seed=1",
-                     "--out", str(out)])
-        assert code == EXIT_OK
-
-    def test_bad_env_default_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MULTIFRACT_SURROGATES", "abc")
-        code = main(["analyze", "--synth", "noise:n=2048", "--out", str(tmp_path / "r")])
-        assert code == EXIT_CONFIG
-        assert "config error: MULTIFRACT_SURROGATES='abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])
     @pytest.mark.parametrize("step", ["0", "-0.5"])
@@ -508,6 +519,18 @@ class TestExitCodes:
         assert "numeric failure:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["analyze", "--surrogates", "4"], ["spectrum"]])
+    def test_constant_returns_are_data_error(self, tmp_path, capsys, command):
+        # every cell of an unshuffled p = 0.5 cascade is 2^-11, so the profile
+        # is a ramp that each box's fit removes
+        out = tmp_path / "r"
+        assert main(command + ["--synth", "cascade:levels=11,p=0.5",
+                               "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: every return is 0.00048828125: the profile is a straight line, "
+            "which every detrend order removes\n")
+        assert not out.exists()
+
     def test_observed_series_profiled_and_checked_once(self, tmp_path, monkeypatch):
         calls = {"make_profile": 0, "validate_profile": 0}
 
@@ -584,6 +607,21 @@ class TestExitCodes:
     def test_parser_loads_no_logging(self):
         # ingest imports logging only when its row loop skips a row
         self.assert_loads_no("logging", "cli.build_parser()")
+
+    def test_missing_scipy_is_config_error(self, tmp_path, capsys, monkeypatch):
+        find_spec = importlib.util.find_spec
+
+        def absent(name, *args):
+            return None if name == "scipy" else find_spec(name, *args)
+
+        monkeypatch.setattr(importlib.util, "find_spec", absent)
+        out = tmp_path / "r"
+        assert main(["analyze", "--synth", "noise:n=2048", "--surrogates", "4",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "config error: scipy is not installed: IAAFT runs on its pocketfft extension\n"
+        assert not out.exists()
 
     def test_missing_pocketfft_extension_is_config_error(self, tmp_path, capsys, monkeypatch):
         # found by the extension's lookup before the input is read
@@ -677,9 +715,9 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, target, name", [
-        (["synth", "--kind", "cascade", "--levels", "80"], cli, "binomial_cascade"),
-        (["analyze", "--synth", "cascade:levels=80"], cli, "binomial_cascade"),
-        (["spectrum", "--synth", "fbm:n=1099511627776"], cli, "fbm"),
+        (["synth", "--kind", "cascade", "--levels", "80"], synth, "binomial_cascade"),
+        (["analyze", "--synth", "cascade:levels=80"], synth, "binomial_cascade"),
+        (["spectrum", "--synth", "fbm:n=1099511627776"], synth, "fbm"),
         (["synth", "--kind", "noise", "--n", "100000000000"], np.random, "default_rng"),
         (["spectrum", "--synth", "noise:n=100000000000"], np.random, "default_rng"),
     ])
@@ -700,6 +738,38 @@ class TestExitCodes:
         # argparse's SystemExit is translated into a return code
         assert main(["--version"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+    def test_pyproject_takes_the_package_version(self):
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # setuptools calls its [tool] table beta
+            config = pyprojecttoml.read_configuration(
+                Path(__file__).resolve().parents[1] / "pyproject.toml")
+        assert config["project"]["version"] == multifract.__version__
+
+    def test_multifract_environment_is_ignored(self, tmp_path):
+        # flags are the only way to set a run; a variable named like a flag
+        # changes no command's exit code, output or files
+        src = str(Path(cli.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if not k.startswith("MULTIFRACT_")}
+        commands = [["--version"],
+                    ["synth", "--kind", "noise", "--n", "512", "--seed", "3",
+                     "--out", "prices.csv"],
+                    ["spectrum", "--synth", "noise:n=4096,seed=1", "--out", "spec"]]
+        runs = {}
+        for name, extra in (("unset", {}),
+                            ("set", {"MULTIFRACT_SURROGATES": "abc", "MULTIFRACT_S_MAX": "128"})):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            results = [subprocess.run([sys.executable, "-m", "multifract.cli", *argv],
+                                      cwd=cwd, env=dict(base, PYTHONPATH=src, **extra),
+                                      capture_output=True, text=True)
+                       for argv in commands]
+            runs[name] = ([(r.returncode, r.stdout, r.stderr) for r in results],
+                          (cwd / "prices.csv").read_bytes(),
+                          (cwd / "spec" / "spectrum_l1.tsv").read_bytes())
+        assert [code for code, _, _ in runs["unset"][0]] == [EXIT_OK] * 3
+        assert runs["set"] == runs["unset"]
 
 
 class TestRunPipelineApi:
@@ -892,7 +962,7 @@ class TestSharedEnsemble:
 
     def test_manifest_iaaft_block(self, tmp_path):
         block = _manifest_iaaft(_pipeline(tmp_path, "r", (1, 2)))
-        values, _ = synth_series("noise:n=2048,seed=8")
+        values, _ = parse_synth_spec("noise:n=2048,seed=8").series()
         results = [iaaft(values, IaaftConfig(rng_seed=derive_seed(11, i)))
                    for i in range(6)]
         assert block["iterations_total"] == sum(r.iterations for r in results)
