@@ -8,9 +8,10 @@ import resource
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -34,15 +35,20 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+ENSEMBLE_FIELDS = ("surrogates", "seed", "alpha_level", "workers")  # RunConfig fields only analyze uses
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    input_path: str = None
-    synth_spec: str = None
+    """An analyze or spectrum run. Each field is a flag --<name, - for _>,
+    cast by its type; metadata may rename the flag and give metavar and help."""
+    input_path: str = field(default=None, metadata={"flag": "input"})
+    synth_spec: str = field(default=None, metadata={
+        "flag": "synth", "help": "generator spec, e.g. cascade:levels=16,p=0.3"})
     date_col: str = "date"
     value_col: str = "value"
-    detrend_orders: tuple = (1,)
+    detrend_orders: tuple[int, ...] = field(default=(1,), metadata={
+        "flag": "detrend-order", "metavar": "{1,2}", "help": "polynomial detrend order; repeatable"})
     q_min: float = -5.0
     q_max: float = 5.0
     q_step: float = 0.25
@@ -52,7 +58,7 @@ class RunConfig:
     surrogates: int = 1000
     seed: int = 0
     alpha_level: float = 0.05
-    out_dir: str = "run"
+    out_dir: str = field(default="run", metadata={"flag": "out"})
     workers: int = 1
 
     def __post_init__(self):
@@ -67,6 +73,8 @@ class RunConfig:
         object.__setattr__(self, "detrend_orders", tuple(sorted(set(self.detrend_orders))))
         if bool(self.input_path) == bool(self.synth_spec):
             raise ValueError("exactly one of an input path and a synth spec is required")
+        if not self.out_dir:
+            raise ValueError("the output directory must not be empty")
         # the grid builders and AnalysisConfig hold the rules on q, s and order
         for order in self.detrend_orders:
             self.analysis_config(order)
@@ -312,34 +320,25 @@ def format_comparison(comparison):
     return "\n".join(lines)
 
 
-def _add_config_flag(parser, flag, cast=str, field=None):
-    """Add --<flag>, cast into the RunConfig field named by field or the flag."""
-    parser.add_argument(f"--{flag}", dest=field or flag.replace("-", "_"),
-                        metavar=flag.upper().replace("-", "_"), type=cast)
-
-
-def _add_series_flags(parser):
-    _add_config_flag(parser, "input", field="input_path")
-    parser.add_argument("--synth", dest="synth_spec", metavar="SYNTH",
-                        help="generator spec, e.g. cascade:levels=16,p=0.3")
-    _add_config_flag(parser, "date-col")
-    _add_config_flag(parser, "value-col")
-    parser.add_argument("--detrend-order", dest="detrend_orders", action="append", type=int,
-                        metavar="{1,2}", help="polynomial detrend order; repeatable")
-    _add_config_flag(parser, "q-min", float)
-    _add_config_flag(parser, "q-max", float)
-    _add_config_flag(parser, "q-step", float)
-    _add_config_flag(parser, "s-min", int)
-    _add_config_flag(parser, "s-max", int)
-    _add_config_flag(parser, "s-count", int)
+def _add_run_config_flags(parser, skip=()):
+    """One flag per RunConfig field not in skip, cast by the field's type;
+    a tuple[T, ...] field's flag repeats, each value cast by T."""
+    for config_field in (f for f in fields(RunConfig) if f.name not in skip):
+        meta = config_field.metadata
+        flag = meta.get("flag", config_field.name.replace("_", "-"))
+        item_type = get_args(config_field.type)[:1]
+        parser.add_argument(f"--{flag}", dest=config_field.name, help=meta.get("help"),
+                            metavar=meta.get("metavar", flag.upper().replace("-", "_")),
+                            type=(item_type or (config_field.type,))[0],
+                            action="append" if item_type else "store")
 
 
 def _synth_keys():
     """Each key of some synth kind -> 'kind default' of each kind taking it."""
     keys = {}
     for kind, spec in KINDS.items():
-        for field in fields(spec):
-            keys.setdefault(field.name, []).append(f"{kind} {field.default}")
+        for spec_field in fields(spec):
+            keys.setdefault(spec_field.name, []).append(f"{kind} {spec_field.default}")
     return keys
 
 
@@ -353,17 +352,9 @@ def build_parser():
     add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
                          argument_default=argparse.SUPPRESS)
 
-    analyze = add_parser("analyze", help="full pipeline to verdict report")
-    _add_series_flags(analyze)
-    _add_config_flag(analyze, "surrogates", int)
-    _add_config_flag(analyze, "seed", int)
-    _add_config_flag(analyze, "alpha-level", float)
-    _add_config_flag(analyze, "out", field="out_dir")
-    _add_config_flag(analyze, "workers", int)
-
-    spectrum = add_parser("spectrum", help="MF-DFA only, no surrogates")
-    _add_series_flags(spectrum)
-    _add_config_flag(spectrum, "out", field="out_dir")
+    _add_run_config_flags(add_parser("analyze", help="full pipeline to verdict report"))
+    _add_run_config_flags(add_parser("spectrum", help="MF-DFA only, no surrogates"),
+                          skip=ENSEMBLE_FIELDS)
 
     synth = add_parser("synth", help="emit a generator series as CSV")
     synth.add_argument("--kind", required=True, choices=KINDS)
@@ -400,8 +391,7 @@ def _cmd_spectrum(args):
         _write_observed(out, observed)
         # spectrum has no ensemble: its manifest records only the fields it uses
         _write_manifest(out, cfg, {key: value for key, value in vars(cfg).items()
-                                   if key not in ("surrogates", "seed", "alpha_level", "workers")},
-                        timings)
+                                   if key not in ENSEMBLE_FIELDS}, timings)
     for acfg, _, spectrum in observed:
         print(f"{label} l={acfg.detrend_order}: H(2)={spectrum.H[np.argmin(np.abs(spectrum.q_grid - 2)) ]:.4f} "
               f"delta_alpha={spectrum.delta_alpha:.4f} delta_f={spectrum.delta_f:.4f}")
@@ -446,6 +436,15 @@ def _cmd_compare(args):
         comparison = compare_orders(*(json.loads(p.read_text()) for p in paths))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{run_dir}: malformed report ({type(exc).__name__}: {exc})") from None
+    # a later or interrupted run into the same directory may have replaced one report only
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        paired = "seeds" in manifest and {1, 2} <= set(manifest["config"]["detrend_orders"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{run_dir}: malformed manifest ({type(exc).__name__}: {exc})") from None
+    if not paired or (run_dir / "INCOMPLETE").exists():
+        raise DataError(f"{run_dir}: its last run is not a completed analyze run of detrend "
+                        "orders 1 and 2, so the reports may come from different runs")
     text = format_comparison(comparison)
     print(text)
     if args.out:

@@ -1,8 +1,10 @@
+import argparse
 import concurrent.futures
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import resource
 import shlex
 import shutil
@@ -13,6 +15,7 @@ from dataclasses import fields
 from datetime import date, timedelta
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -122,6 +125,36 @@ ANALYZE_ARGS = [
     "--surrogates", "16", "--seed", "3",
     "--s-min", "10", "--s-max", "256", "--s-count", "12",
 ]
+
+
+def command_flags(command):
+    """Each flag of a build_parser() command -> the name it sets."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {flag: action.dest for action in subparsers.choices[command]._actions
+            for flag in action.option_strings if action.dest != "help"}
+
+
+# each RunConfig field's flag values, valid and other than its default, and
+# the value they give the field
+FIELD_FLAG_VALUES = {
+    "input_path": (["prices.csv"], "prices.csv"),
+    "synth_spec": (["fbm:n=1024"], "fbm:n=1024"),
+    "date_col": (["day"], "day"),
+    "value_col": (["close"], "close"),
+    "detrend_orders": (["2", "1", "2"], (1, 2)),
+    "q_min": (["-4.5"], -4.5),
+    "q_max": (["4.5"], 4.5),
+    "q_step": (["0.5"], 0.5),
+    "s_min": (["10"], 10),
+    "s_max": (["200"], 200),
+    "s_count": (["12"], 12),
+    "surrogates": (["16"], 16),
+    "seed": (["9"], 9),
+    "alpha_level": (["0.1"], 0.1),
+    "out_dir": (["elsewhere"], "elsewhere"),
+    "workers": (["2"], 2),
+}
 
 
 REPORT = {"label": "x", "detrend_order": 1, "verdict": "none",
@@ -288,9 +321,43 @@ class TestSynthCommand:
         assert (out / "report_l1.json").exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def flag_table_cell(config_field):
+    """The README flag table's type-and-default cell of a RunConfig field."""
+    item_types = get_args(config_field.type)
+    if item_types:  # a repeatable flag, whose default is a tuple
+        return f"`{item_types[0].__name__}`, repeatable, `{', '.join(map(str, config_field.default))}`"
+    default = "none" if config_field.default is None else f"`{config_field.default}`"
+    return f"`{config_field.type.__name__}`, {default}"
+
+
 class TestReadmeExamples:
+    def test_cli_block_commands_parse(self):
+        # parsed and configured only: the input and run directory are examples
+        block = README.read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if re.match("multifract (analyze|spectrum|compare) ", line)]
+        assert [argv[1] for argv in commands] == ["analyze", "spectrum", "compare"]
+        for argv in commands:
+            args = cli.build_parser().parse_args(argv[1:])
+            if args.command != "compare":
+                cli._run_config_from_args(args)  # raises on an invalid config
+
+    def test_flag_table_lists_the_derived_flags(self):
+        rows = re.findall(r"^\| `(--[a-z-]+)` \| `(\w+)` \| (.+?) \| (.+?) \|$",
+                          README.read_text(), re.MULTILINE)
+        analyze, spectrum = command_flags("analyze"), command_flags("spectrum")
+        assert set(spectrum.items()) <= set(analyze.items())
+        by_name = {f.name: f for f in fields(RunConfig)}
+        assert sorted(rows) == sorted(
+            (flag, name, flag_table_cell(by_name[name]),
+             "`analyze`, `spectrum`" if flag in spectrum else "`analyze`")
+            for flag, name in analyze.items())
+
     def test_synth_examples_load(self, tmp_path, monkeypatch, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README.read_text()
         commands = [shlex.split(line) for line in readme.splitlines()
                     if line.startswith("multifract synth ")]
         assert len(commands) == 2
@@ -406,6 +473,51 @@ class TestExitCodes:
     def test_flag_defaults_are_run_config_defaults(self, command):
         args = cli.build_parser().parse_args([command, "--synth", "noise"])
         assert cli._run_config_from_args(args) == RunConfig(synth_spec="noise")
+
+    def test_analyze_flags_are_run_config_fields(self):
+        flags = command_flags("analyze")
+        assert sorted(flags.values()) == sorted(f.name for f in fields(RunConfig))
+        assert set(FIELD_FLAG_VALUES) == set(flags.values())
+        for config_field in fields(RunConfig):
+            name = config_field.name
+            (flag,) = [flag for flag, dest in flags.items() if dest == name]
+            values, expected = FIELD_FLAG_VALUES[name]
+            series = {} if name in ("input_path", "synth_spec") else {"synth_spec": "noise"}
+            argv = ["analyze", *(["--synth", "noise"] if series else [])]
+            for value in values:
+                argv += [flag, value]
+            cfg = cli._run_config_from_args(cli.build_parser().parse_args(argv))
+            assert cfg == RunConfig(**series, **{name: expected}), name
+            # equal is not enough (16.0 == 16), so the cast's type is checked too
+            given = getattr(cfg, name)
+            if get_args(config_field.type):
+                assert {type(v) for v in given} == {get_args(config_field.type)[0]}, name
+            else:
+                assert type(given) is config_field.type, name
+
+    def test_spectrum_flags_are_the_non_ensemble_fields(self):
+        assert set(cli.ENSEMBLE_FIELDS) < {f.name for f in fields(RunConfig)}
+        assert sorted(command_flags("spectrum").values()) == sorted(
+            f.name for f in fields(RunConfig) if f.name not in cli.ENSEMBLE_FIELDS)
+
+    @pytest.mark.parametrize("name", cli.ENSEMBLE_FIELDS)
+    def test_spectrum_refuses_ensemble_flags(self, tmp_path, capsys, name):
+        (flag,) = [flag for flag, dest in command_flags("analyze").items() if dest == name]
+        out = tmp_path / "r"
+        assert main(["spectrum", "--synth", "noise", flag, FIELD_FLAG_VALUES[name][0][0],
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_empty_out_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # Path("") is the working directory, which the run would fill
+        monkeypatch.chdir(tmp_path)
+        ensemble = ["--surrogates", "2"] if command == "analyze" else []
+        assert main([command, "--synth", "noise:n=4096", *ensemble, "--s-max", "200",
+                     "--out", ""]) == EXIT_CONFIG
+        assert "config error: the output directory must not be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])
@@ -557,7 +669,59 @@ class TestExitCodes:
         for order, text in zip((1, 2), texts):
             (tmp_path / f"report_l{order}.json").write_text(text)
         assert main(["compare", "--run-dir", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error:" in err and "manifest" not in err
+
+    @pytest.mark.parametrize("manifest", [
+        None, "[1]", '{"seeds"', json.dumps({"seeds": {}}),
+        json.dumps({"seeds": {}, "config": {"detrend_orders": [1]}}),
+        json.dumps({"config": {"detrend_orders": [1, 2]}}),
+    ], ids=["missing", "list", "truncated", "no_config", "order_1_only", "no_seeds"])
+    def test_compare_needs_an_analyze_manifest_of_both_orders(self, tmp_path, capsys, manifest):
+        for order in (1, 2):
+            (tmp_path / f"report_l{order}.json").write_text(json.dumps(REPORT))
+        if manifest is not None:
+            (tmp_path / "manifest.json").write_text(manifest)
+        assert main(["compare", "--run-dir", str(tmp_path)]) == EXIT_DATA
         assert "data error:" in capsys.readouterr().err
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"seeds": {}, "config": {"detrend_orders": [1, 2]}}))
+        assert main(["compare", "--run-dir", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("second", [
+        ["analyze", "--detrend-order", "1", "--surrogates", "8", "--seed", "9"],
+        ["spectrum", "--detrend-order", "1", "--detrend-order", "2"],
+    ], ids=["analyze_l1", "spectrum_l1_l2"])
+    def test_compare_refuses_reports_of_two_runs(self, tmp_path, capsys, second):
+        # the second run leaves the first's report_l2.json beside its own files
+        out = tmp_path / "run"
+        series = ["--synth", "noise:n=2048,seed=5", "--s-min", "10", "--s-max", "256",
+                  "--s-count", "12", "--out", str(out)]
+        assert main(["analyze", *series, "--detrend-order", "1", "--detrend-order", "2",
+                     "--surrogates", "4"]) == EXIT_OK
+        assert main([*second, *series]) == EXIT_OK
+        assert (out / "report_l2.json").exists()
+        capsys.readouterr()
+        assert main(["compare", "--run-dir", str(out)]) == EXIT_DATA
+        assert "the reports may come from different runs" in capsys.readouterr().err
+
+    def test_compare_refuses_an_interrupted_run(self, tmp_path, capsys, monkeypatch):
+        # a run stopped before its manifest leaves its own report_l1.json,
+        # the first run's report_l2.json and the first run's manifest
+        out = tmp_path / "run"
+        series = ["analyze", "--synth", "noise:n=2048,seed=5", "--s-min", "10", "--s-max", "256",
+                  "--s-count", "12", "--surrogates", "4", "--out", str(out)]
+        assert main([*series, "--detrend-order", "1", "--detrend-order", "2"]) == EXIT_OK
+
+        def interrupted(*args, **kwargs):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(cli, "_write_manifest", interrupted)
+        assert main([*series, "--seed", "9"]) == EXIT_DATA
+        assert (out / "INCOMPLETE").exists()
+        capsys.readouterr()
+        assert main(["compare", "--run-dir", str(out)]) == EXIT_DATA
+        assert "the reports may come from different runs" in capsys.readouterr().err
 
     def test_series_short_of_scale_grid_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "prices.csv"
