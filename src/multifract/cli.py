@@ -4,6 +4,7 @@ IAAFT ensemble -> tests -> verdict report and plot-ready tables."""
 import argparse
 import hashlib
 import json
+import os
 import resource
 import sys
 import time
@@ -130,7 +131,7 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     Per-member seeds derive from (base_seed, index), so the result is
     independent of worker count and member evaluation order. A pool
     receives the series once per chunk of 8 members, and has no more
-    workers than chunks.
+    workers than chunks or than the CPUs this process may run on.
     """
     seeds = [derive_seed(base_seed, i) for i in range(size)]
     member = partial(_member_spectra, values, acfgs)
@@ -139,7 +140,10 @@ def ensemble_spectra(values, size, base_seed, acfgs, workers=1):
     else:
         # imported here, so a run without a pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, -(-size // 8)) or 1) as pool:
+        # sched_getaffinity is Linux's; elsewhere every CPU counts
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        cap = min(workers, -(-size // 8), cpus or 1)
+        with ProcessPoolExecutor(max_workers=cap or 1) as pool:
             members = list(pool.map(member, seeds, chunksize=8))
     spectra = [[member[k] for member, _ in members] for k in range(len(acfgs))]
     return spectra, [diagnostics for _, diagnostics in members]
@@ -342,6 +346,13 @@ def _synth_keys():
     return keys
 
 
+def _nonempty(path):
+    """An --out path; an empty one is refused before any output."""
+    if not path:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return path
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="multifract",
@@ -360,12 +371,13 @@ def build_parser():
     synth.add_argument("--kind", required=True, choices=KINDS)
     for key, defaults in _synth_keys().items():
         synth.add_argument(f"--{key}", help=f"spec key; default {', '.join(defaults)}")
-    synth.add_argument("--out", required=True, help="output CSV path")
+    synth.add_argument("--out", required=True, type=_nonempty, help="output CSV path")
 
     compare = add_parser("compare", help="compare detrend orders of one run")
     compare.add_argument("--run-dir", required=True,
                          help="run directory holding report_l1.json and report_l2.json")
-    compare.add_argument("--out", default=None, help="optional comparison output file")
+    compare.add_argument("--out", default=None, type=_nonempty,
+                         help="optional comparison output file")
     return parser
 
 

@@ -52,34 +52,29 @@ class ShapeFlags:
 
 @dataclass(frozen=True)
 class TestReport:
+    """One series' tests at one detrend order. hurst, width_test and
+    spectrum_difference_test are the blocks report_l*.json writes."""
+
     label: str
     detrend_order: int
-    h2: float
-    h2_surrogate_mean: float
-    h2_surrogate_std: float
+    hurst: dict
     quad_fit: QuadFit
-    delta_alpha: float
-    delta_alpha_mean: float
-    delta_alpha_std: float
-    p_value_width: float
-    delta_f: float
-    delta_f_mean: float
-    delta_f_std: float
-    p_value_f: float
+    width_test: dict
+    spectrum_difference_test: dict
     shape: ShapeFlags
     significance_level: float
     verdict: str
+
+    @property
+    def p_value_width(self):
+        return self.width_test["p_value"]
 
     def to_dict(self):
         fit = self.quad_fit
         return {
             "label": self.label,
             "detrend_order": self.detrend_order,
-            "hurst": {
-                "H2": self.h2,
-                "surrogate_mean": self.h2_surrogate_mean,
-                "surrogate_std": self.h2_surrogate_std,
-            },
+            "hurst": dict(self.hurst),
             "quadratic_fit": {
                 "a0": fit.coefficients[0],
                 "a1": fit.coefficients[1],
@@ -95,19 +90,8 @@ class TestReport:
                 # conventional for this diagnostic
                 "caveat": "classical OLS p-values on serially dependent grid points",
             },
-            "width_test": {
-                "delta_alpha": self.delta_alpha,
-                "ensemble_mean": self.delta_alpha_mean,
-                "ensemble_std": self.delta_alpha_std,
-                "p_value": self.p_value_width,
-            },
-            "spectrum_difference_test": {
-                "delta_f": self.delta_f,
-                "ensemble_mean": self.delta_f_mean,
-                "ensemble_std": self.delta_f_std,
-                "p_value": self.p_value_f,
-                "role": "supporting evidence only",
-            },
+            "width_test": dict(self.width_test),
+            "spectrum_difference_test": dict(self.spectrum_difference_test),
             "shape": {
                 "H_monotone_decreasing": self.shape.h_monotone,
                 "bell_shaped": self.shape.bell_shaped,
@@ -270,15 +254,20 @@ def verdict(label, detrend_order, spectrum, ens_stats, significance_level=0.05):
     at most apparent. The spectrum-difference p-value is recorded but
     never decisive.
     """
+    def tested(name, observed, samples, test, **extra):
+        return {name: float(observed), "ensemble_mean": float(samples.mean()),
+                "ensemble_std": float(samples.std(ddof=1)),
+                "p_value": test(observed, ens_stats), **extra}
+
     quad_fit = quadratic_tau_fit(spectrum.q_grid, spectrum.tau)
     shape = shape_diagnostics(spectrum)
-    p_width = width_test(spectrum.delta_alpha, ens_stats)
-    p_f = spectrum_difference_test(spectrum.delta_f, ens_stats)
+    width = tested("delta_alpha", spectrum.delta_alpha, ens_stats.delta_alpha_samples,
+                   width_test)
 
     a2 = quad_fit.coefficients[2]
     a2_significant_negative = (a2 < 0) and (quad_fit.p_values[2] < significance_level)
     apparent = shape.h_monotone and shape.bell_shaped and a2_significant_negative
-    if apparent and p_width < significance_level:
+    if apparent and width["p_value"] < significance_level:
         label_verdict = VERDICT_INTRINSIC
     elif apparent:
         label_verdict = VERDICT_APPARENT
@@ -289,18 +278,13 @@ def verdict(label, detrend_order, spectrum, ens_stats, significance_level=0.05):
     return TestReport(
         label=label,
         detrend_order=detrend_order,
-        h2=float(spectrum.H[q2]),
-        h2_surrogate_mean=float(ens_stats.H_mean[q2]),
-        h2_surrogate_std=float(ens_stats.H_std[q2]),
+        hurst={"H2": float(spectrum.H[q2]), "surrogate_mean": float(ens_stats.H_mean[q2]),
+               "surrogate_std": float(ens_stats.H_std[q2])},
         quad_fit=quad_fit,
-        delta_alpha=float(spectrum.delta_alpha),
-        delta_alpha_mean=float(ens_stats.delta_alpha_samples.mean()),
-        delta_alpha_std=float(ens_stats.delta_alpha_samples.std(ddof=1)),
-        p_value_width=p_width,
-        delta_f=float(spectrum.delta_f),
-        delta_f_mean=float(ens_stats.delta_f_samples.mean()),
-        delta_f_std=float(ens_stats.delta_f_samples.std(ddof=1)),
-        p_value_f=p_f,
+        width_test=width,
+        spectrum_difference_test=tested("delta_f", spectrum.delta_f, ens_stats.delta_f_samples,
+                                        spectrum_difference_test,
+                                        role="supporting evidence only"),
         shape=shape,
         significance_level=significance_level,
         verdict=label_verdict,
@@ -311,11 +295,12 @@ def format_report(report):
     """Human-readable table mirroring the quadratic-fit, width and
     spectrum-difference test layouts."""
     fit = report.quad_fit
+    h, width, diff = report.hurst, report.width_test, report.spectrum_difference_test
     lines = [
         f"Series: {report.label}   detrend order: {report.detrend_order}",
         "",
-        f"H(2) = {report.h2:.4f}   surrogate <H(2)> = "
-        f"{report.h2_surrogate_mean:.4f} +/- {report.h2_surrogate_std:.4f}",
+        f"H(2) = {h['H2']:.4f}   surrogate <H(2)> = "
+        f"{h['surrogate_mean']:.4f} +/- {h['surrogate_std']:.4f}",
         "",
         "Quadratic fit of tau(q) = a0 + a1 q + a2 q^2",
         f"  F = {fit.f_stat:.1f}  p = {fit.model_p_value:.4f}  R2 = {fit.r_squared:.4f}",
@@ -325,13 +310,13 @@ def format_report(report):
         f"p = {fit.p_values[2]:.4f}",
         "",
         "Width test",
-        f"  delta_alpha = {report.delta_alpha:.4f}  "
-        f"<dalpha_hat> = {report.delta_alpha_mean:.4f}  "
-        f"sigma = {report.delta_alpha_std:.4f}  p = {report.p_value_width:.4f}",
+        f"  delta_alpha = {width['delta_alpha']:.4f}  "
+        f"<dalpha_hat> = {width['ensemble_mean']:.4f}  "
+        f"sigma = {width['ensemble_std']:.4f}  p = {width['p_value']:.4f}",
         "Spectrum-difference test (supporting only)",
-        f"  delta_f = {report.delta_f:.4f}  "
-        f"<df_hat> = {report.delta_f_mean:.4f}  "
-        f"sigma = {report.delta_f_std:.4f}  p = {report.p_value_f:.4f}",
+        f"  delta_f = {diff['delta_f']:.4f}  "
+        f"<df_hat> = {diff['ensemble_mean']:.4f}  "
+        f"sigma = {diff['ensemble_std']:.4f}  p = {diff['p_value']:.4f}",
         "",
         f"Shape: H monotone decreasing = {report.shape.h_monotone}, "
         f"bell-shaped = {report.shape.bell_shaped}, knot = {report.shape.knot}",

@@ -520,6 +520,23 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("argv", [["synth", "--kind", "noise", "--n", "4096"],
+                                      ["compare", "--run-dir", "."]], ids=["synth", "compare"])
+    def test_empty_out_refused_by_the_parser(self, tmp_path, capsys, monkeypatch, argv):
+        # a completed run in the working directory, which Path("") names: synth
+        # would try to open it as its CSV, and compare would print the
+        # comparison and silently write no file
+        monkeypatch.chdir(tmp_path)
+        for order in (1, 2):
+            (tmp_path / f"report_l{order}.json").write_text(json.dumps(REPORT))
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"seeds": {}, "config": {"detrend_orders": [1, 2]}}))
+        before = sorted(tmp_path.iterdir())
+        assert main([*argv, "--out", ""]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --out: must not be empty" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])
     @pytest.mark.parametrize("step", ["0", "-0.5"])
     def test_non_positive_q_step_rejected_before_output(self, tmp_path, command, step):
@@ -1119,10 +1136,36 @@ class TestSharedEnsemble:
             requests.append(max_workers)
             raise Refused
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", stand_in)
         with pytest.raises(Refused):
             cli.ensemble_spectra(np.zeros(4), size, 0, (), workers=workers)
         assert requests == [asked]
+
+    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch):
+        # 32 members are four chunks, but one CPU gets one worker; the
+        # stand-in maps in this process, so no process is started
+        requests = []
+
+        class Serial:
+            def __init__(self, max_workers):
+                requests.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+        values = np.random.default_rng(4).standard_normal(64)
+        pooled = cli.ensemble_spectra(values, 32, 0, (), workers=1000)
+        assert requests == [1]
+        assert pooled == cli.ensemble_spectra(values, 32, 0, (), workers=1)
 
     def test_manifest_iaaft_block(self, tmp_path):
         block = _manifest_iaaft(_pipeline(tmp_path, "r", (1, 2)))

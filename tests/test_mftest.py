@@ -336,6 +336,19 @@ class TestVerdict:
         text = format_report(report)
         assert "Verdict:" in text and "Width test" in text
 
+    def test_report_holds_the_blocks_it_writes(self):
+        spec = self.multifractal_spectrum()
+        report = verdict("cascade", 1, spec, self.narrow_stats(spec))
+        doc = report.to_dict()
+        for block in ("hurst", "width_test", "spectrum_difference_test"):
+            assert doc[block] == getattr(report, block)
+        assert report.p_value_width == report.width_test["p_value"]
+        before = report.to_dict()
+        for block in ("hurst", "width_test", "spectrum_difference_test"):
+            doc[block]["p_value"] = -1.0
+        assert report.to_dict() == before
+        assert report.width_test == before["width_test"]
+
 
 @pytest.fixture(scope="module")
 def noise_ensemble_stats():
